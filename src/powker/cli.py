@@ -69,8 +69,11 @@ def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
             entry["detail"] = detail
         checks.append(entry)
 
+    bases: dict[int, tuple] = {}  # level -> echelon basis; each level is computed once
+
     if suite in ("family", "all"):
         space = ma_space(p, 2)
+        bases[2] = space.basis
         count = (p.p + 1) // 2
         vectors = []
         domain = space.problem.domain_monomials()
@@ -91,15 +94,16 @@ def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
     if suite in ("klemma", "all"):
         add("k_polynomial_identity", verify_k_lemma(p))
     if suite in ("shift", "all"):
-        dims = {}
         for a in range(2, p.p + 1):
-            dims[a] = ma_space(p, a).dim
+            if a not in bases:
+                bases[a] = ma_space(p, a).basis
+        dims = {a: len(basis) for a, basis in bases.items()}
         for a in range(3, p.p + 1):
             add(f"shift_dim_a{a}", dims[a] == dims[2], f"dim {dims[a]} vs {dims[2]}")
         for a in range(2, p.p):
             try:
                 ok = True
-                for m in ma_space(p, a).basis:
+                for m in bases[a]:
                     lifted = mul_r_shift(p, a, a + 1, m)
                     if div_r_shift(p, a + 1, lifted) != m:
                         ok = False

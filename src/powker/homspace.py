@@ -13,13 +13,13 @@ listed with the highest x-power first.  The kernel basis is returned in
 reduced echelon form with respect to that monomial order, so it is
 unique and deterministic.
 
-When f is homogeneous (every problem built here has this form), the
-dividend P(m) - h*m splits into homogeneous components of degrees
-delta + u(p-1), each of which reduces mod f independently as a dense
-vector over the x-exponent; that slice pipeline and the final row
-reduction run on the selected kernel backend.  Inhomogeneous f falls
-back to generic polynomial division.  Membership tests (`contains`)
-always use generic division and never consult the stored basis.
+`LevelOperator` holds that map as a matrix over F_p.  For homogeneous
+f (every problem built here), each homogeneous slice of P(m) - h*m
+reduces like a polynomial in x modulo f(x, 1), so each column is a sum
+of rows of the remainder table R[e] = x^e mod f(x, 1), built once per
+divisor; inhomogeneous f falls back to generic division.  Row
+reduction runs on the kernel backend.  Membership (`contains` and the
+shift checks) applies the operator to m and never reads the basis.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -38,16 +38,19 @@ membership guarantees as they go.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from . import _kernel
 from .errors import ConsistencyError
-from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod, is_divisible, poly_pow
+from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod, poly_pow
 from .reps import f_of, filtration_rep, r_poly
 from .steenrod import SplitPoly, h_poly, parameters, q_of_split, total_power
 
 __all__ = [
     "HomProblem",
     "HomSpace",
+    "LevelOperator",
     "FpMatrix",
     "hom_space",
     "ma_space",
@@ -91,6 +94,55 @@ class HomProblem:
         return tuple((self.delta - j, j) for j in range(self.x_bound(), -1, -1))
 
 
+class LevelOperator:
+    """The map m -> (P(m) - h*m) mod f of a `HomProblem`, as a matrix over F_p.
+
+    Column c belongs to the domain monomial `domain[c]`.  Row k belongs
+    to the remainder monomial `keys[k]` (a (t-exp, x-exp) pair); rows
+    are the monomials with a nonzero entry in some column, highest
+    x-power first, then highest t-power.  Entries lie in [0, p).
+    """
+
+    __slots__ = ("problem", "domain", "keys", "rows")
+
+    def __init__(self, problem: HomProblem):
+        self.problem = problem
+        self.domain = problem.domain_monomials()
+        if problem.f.is_homogeneous():
+            self.keys, self.rows = _graded_rows(problem, self.domain)
+        else:
+            columns = _generic_columns(problem)
+            self.keys = sorted({k for col in columns for k in col}, key=lambda t: (-t[1], -t[0]))
+            self.rows = [[col.get(key, 0) for col in columns] for key in self.keys]
+
+    def image(self, m: BiPoly) -> BiPoly:
+        """(P(m) - h*m) mod f, summed from the columns at m's monomials.
+
+        m must be zero or homogeneous of degree delta with x-degree at
+        most `problem.x_bound()`; anything else raises ValueError.
+        """
+        problem = self.problem
+        if m.modulus != problem.p:
+            raise ValueError("modulus mismatch")
+        if m.is_zero():
+            return m
+        if not m.is_homogeneous() or m.degree() != problem.delta:
+            raise ValueError(f"m must be homogeneous of degree {problem.delta}")
+        top = problem.x_bound()
+        if m.x_degree() > top:
+            raise ValueError("m lies outside the domain basis (x-degree too high)")
+        p = problem.p.p
+        vec = [0] * len(self.domain)
+        for _i, j, c in m.iterterms():
+            vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
+        out = {}
+        for key, row in zip(self.keys, self.rows):
+            v = sum(map(mul, row, vec)) % p
+            if v:
+                out[key] = v
+        return BiPoly(problem.p, out)
+
+
 @dataclass(frozen=True)
 class HomSpace:
     """A computed kernel: the problem plus a reduced echelon basis."""
@@ -112,6 +164,24 @@ class HomSpace:
         if include_basis:
             out["basis"] = [b.text() for b in self.basis]
         return out
+
+
+def _nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Kernel basis of the matrix with these rows, in reduced echelon form (unique)."""
+    reduced = _kernel.rref(rows, ncols, p)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for prow, pc in zip(reduced, pivots):
+            if prow[free]:
+                vec[pc] = (-prow[free]) % p
+        basis.append(vec)
+    return _kernel.rref(basis, ncols, p)
 
 
 class FpMatrix:
@@ -155,70 +225,80 @@ class FpMatrix:
 
     def nullspace(self) -> "FpMatrix":
         """Kernel basis as rows, in reduced echelon form (unique)."""
-        p = self.modulus.p
-        reduced = _kernel.rref(self._rows, self.ncols, p)
-        pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [0] * self.ncols
-            vec[free] = 1
-            for prow, pc in zip(reduced, pivots):
-                if prow[free]:
-                    vec[pc] = (-prow[free]) % p
-            basis.append(vec)
-        return FpMatrix(self.modulus, _kernel.rref(basis, self.ncols, p), self.ncols)
+        return FpMatrix(self.modulus, _nullspace(self._rows, self.ncols, self.modulus.p), self.ncols)
 
 
-def _graded_columns(problem: HomProblem) -> list[dict[tuple[int, int], int]]:
-    # Fast path for homogeneous f: reduce each homogeneous component of
-    # P(m) - h*m as a dense slice over the x-exponent.
+def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
+    """Rows R[e] = x^e mod f(x, 1) for e = 0 .. top, as coefficient lists of length deg_x f.
+
+    f must be homogeneous and monic in x.
+    """
+    p = f.modulus.p
+    d = f.x_degree()
+    # x^d == low(x) mod f(x, 1), where low is minus the lower part of f
+    low = [0] * d
+    for _i, j, c in f.iterterms():
+        if j < d:
+            low[j] = p - c
+    table = [[int(k == e) for k in range(d)] for e in range(min(d, top + 1))]
+    row = low
+    for _e in range(d, top + 1):
+        table.append(row)
+        lead = row[-1]
+        row = [0] + row[:-1]
+        if lead:
+            row = [(a + lead * b) % p for a, b in zip(row, low)]
+    return table
+
+
+def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
+    # Homogeneous f: the slice of degree delta + g of each column is a
+    # sum of remainder-table rows, accumulated in plain ints and reduced
+    # mod p once.  Rows come out in the operator's key order directly.
     p = problem.p.p
     shift = p - 1
-    delta = problem.delta
     d = problem.f.x_degree()
-    fcoeffs = [0] * (d + 1)
-    for i, j, c in problem.f.iterterms():
-        fcoeffs[j] = c
-    h_exps = [(i, c) for i, _j, c in problem.h.iterterms()]
-    columns = []
-    for i, j in problem.domain_monomials():
-        slices: dict[int, list[int]] = {}
-        bin_i = [binom_mod(i, s, p) for s in range(i + 1)]
-        bin_j = [binom_mod(j, t, p) for t in range(j + 1)]
-        for t, ct in enumerate(bin_j):
+    ncols = len(domain)
+    table = _remainder_table(problem.f, problem.x_bound() * p)
+    twist = [(g, c) for g, _j, c in problem.h.iterterms()]
+    zero = [0] * d
+    slices: dict[int, list[list[int]]] = {}  # g -> reduced vector per column
+    for col, (i, j) in enumerate(domain):
+        bin_i = [(s * shift, c) for s in range(i + 1) if (c := binom_mod(i, s, p))]
+        acc: dict[int, list[int]] = {}
+        for t in range(j + 1):
+            ct = binom_mod(j, t, p)
             if not ct:
                 continue
-            xe = j + t * shift
-            for s, cs in enumerate(bin_i):
-                if not cs:
-                    continue
-                deg = delta + (s + t) * shift
-                w = slices.get(deg)
+            rem = table[j + t * shift]
+            for gs, cs in bin_i:
+                g = gs + t * shift
+                c = cs * ct
+                w = acc.get(g)
                 if w is None:
-                    w = slices[deg] = [0] * (xe + 1)
-                elif len(w) <= xe:
-                    w.extend([0] * (xe + 1 - len(w)))
-                w[xe] = (w[xe] + cs * ct) % p
-        for e, c in h_exps:
-            deg = delta + e
-            w = slices.get(deg)
-            if w is None:
-                w = slices[deg] = [0] * (j + 1)
-            elif len(w) <= j:
-                w.extend([0] * (j + 1 - len(w)))
-            w[j] = (w[j] - c) % p
-        col: dict[tuple[int, int], int] = {}
-        for deg, w in slices.items():
-            if len(w) > d:
-                _kernel.reduce_slice(w, fcoeffs, p)
-            for xe in range(min(len(w), d)):
-                if w[xe]:
-                    col[(deg - xe, xe)] = w[xe]
-        columns.append(col)
-    return columns
+                    acc[g] = [c * r for r in rem]
+                else:
+                    acc[g] = [a + c * r for a, r in zip(w, rem)]
+        for g, c in twist:
+            # R[j] is x^j itself, since j < d
+            acc.setdefault(g, [0] * d)[j] -= c
+        for g, w in acc.items():
+            if g not in slices:
+                slices[g] = [zero] * ncols
+            slices[g][col] = [v % p for v in w]
+    del table
+    order = sorted(slices, reverse=True)
+    # by_x[g][e] is the row of remainder monomial (delta + g - e, e), or
+    # None when it is zero; each slice is freed once transposed
+    by_x = {g: [list(r) if any(r) else None for r in zip(*slices.pop(g))] for g in order}
+    keys, rows = [], []
+    for e in range(d - 1, -1, -1):
+        for g in order:
+            row = by_x[g][e]
+            if row is not None:
+                keys.append((problem.delta + g - e, e))
+                rows.append(row)
+    return keys, rows
 
 
 def _generic_columns(problem: HomProblem) -> list[dict[tuple[int, int], int]]:
@@ -233,23 +313,16 @@ def _generic_columns(problem: HomProblem) -> list[dict[tuple[int, int], int]]:
 
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis."""
-    domain = problem.domain_monomials()
-    if not domain:
-        return HomSpace(problem, ())
-    if problem.f.is_homogeneous():
-        columns = _graded_columns(problem)
-    else:
-        columns = _generic_columns(problem)
-    keys = sorted({k for col in columns for k in col}, key=lambda t: (-t[1], -t[0]))
-    rows = [[col.get(key, 0) for col in columns] for key in keys]
-    matrix = FpMatrix(problem.p, rows, len(domain))
+    op = LevelOperator(problem)
+    domain = op.domain
     basis = []
-    for vec in matrix.nullspace().row_lists():
+    for vec in _nullspace(op.rows, len(domain), problem.p.p):
         coeffs = {domain[idx]: v for idx, v in enumerate(vec) if v}
         basis.append(BiPoly(problem.p, coeffs))
     return HomSpace(problem, tuple(basis))
 
 
+@lru_cache(maxsize=128)
 def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
     pars = parameters(p, a)
     f = f_of(filtration_rep(p, a, (p.p + 1) // 2))
@@ -282,26 +355,25 @@ def family_element(p: PrimeModulus, k: int) -> BiPoly:
     return lead * inner
 
 
-def _is_member(problem: HomProblem, m: BiPoly) -> bool:
-    if m.modulus != problem.p:
-        raise ValueError("modulus mismatch")
-    if m.is_zero():
-        return True
-    if not m.is_homogeneous() or m.degree() != problem.delta:
-        raise ValueError(f"m must be homogeneous of degree {problem.delta}")
-    if m.x_degree() > problem.x_bound():
-        raise ValueError("m lies outside the domain basis (x-degree too high)")
-    diff = total_power(m) - problem.h * m
-    return is_divisible(diff, problem.f)
+@lru_cache(maxsize=2)
+def _operator(problem: HomProblem) -> LevelOperator:
+    # Only membership tests use this cache; hom_space keeps no operator.
+    # The shifts check levels a and a + 1 in turn, so two entries cover
+    # a walk over consecutive levels.
+    return LevelOperator(problem)
+
+
+def _in_level(p: PrimeModulus, a: int, m: BiPoly) -> bool:
+    return _operator(_ma_problem(p, a)).image(m).is_zero()
 
 
 def contains(space: HomSpace, m: BiPoly) -> bool:
-    """Direct membership test: does f divide P(m) - h*m?
+    """Membership test: does f divide P(m) - h*m?
 
-    This re-checks divisibility from scratch and never consults the
-    stored basis, so it cross-validates the elimination.
+    Applies the operator of the space's problem to m; the stored basis
+    is never read.
     """
-    return _is_member(space.problem, m)
+    return _operator(space.problem).image(m).is_zero()
 
 
 def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
@@ -311,10 +383,10 @@ def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
         raise ValueError(f"a must satisfy 2 <= a <= p-1, got {a}")
     if b < a:
         raise ValueError(f"b must be at least a, got {b} < {a}")
-    if not _is_member(_ma_problem(p, a), m):
+    if not _in_level(p, a, m):
         raise ValueError("m is not in the level-a kernel space")
     out = m * poly_pow(r_poly(p), b - a)
-    if not _is_member(_ma_problem(p, b), out):
+    if not _in_level(p, b, out):
         raise ConsistencyError(
             f"r-multiple of a level-{a} kernel element fell outside level {b}"
         )
@@ -325,12 +397,12 @@ def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
     """Map a level-a kernel element (a >= 3) down to level a-1 via m / r."""
     if not 3 <= a <= p.p:
         raise ValueError(f"a must satisfy 3 <= a <= p, got {a}")
-    if not _is_member(_ma_problem(p, a), m):
+    if not _in_level(p, a, m):
         raise ValueError("m is not in the level-a kernel space")
     quotient, rem = m.divmod_x(r_poly(p))
     if not rem.is_zero():
         raise ConsistencyError(f"level-{a} kernel element is not divisible by r")
-    if not _is_member(_ma_problem(p, a - 1), quotient):
+    if not _in_level(p, a - 1, quotient):
         raise ConsistencyError(
             f"quotient by r of a level-{a} kernel element fell outside level {a - 1}"
         )

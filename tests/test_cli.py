@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from powker import cli, homspace
 from powker.cli import main
 from powker.reps import Representation
 from powker.ffpoly import PrimeModulus
@@ -76,6 +77,29 @@ class TestVerify:
         names = {c["name"] for c in data["checks"]}
         assert {"family_independence", "qr_identity", "substitution_identity",
                 "k_polynomial_identity"} <= names
+
+    def test_each_level_built_once(self, capsys, monkeypatch):
+        levels = []
+        spaces = []
+        real_f_of, real_ma_space = homspace.f_of, cli.ma_space
+
+        def counting_f_of(rep):
+            levels.append(len(rep.weights))
+            return real_f_of(rep)
+
+        def counting_ma_space(p, a):
+            spaces.append(a)
+            return real_ma_space(p, a)
+
+        homspace._ma_problem.cache_clear()
+        homspace._operator.cache_clear()
+        monkeypatch.setattr(homspace, "f_of", counting_f_of)
+        monkeypatch.setattr(cli, "ma_space", counting_ma_space)
+        code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
+        assert code == 0
+        # the level-a divisor has (a - 1) * p + (p + 1) / 2 weights
+        assert levels == [(a - 1) * 5 + 3 for a in range(2, 6)]
+        assert spaces == [2, 3, 4, 5]
 
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "qr", "--format", "json")

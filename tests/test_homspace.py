@@ -1,15 +1,21 @@
 """Tests for kernel spaces: goldens, invariants, shifts, identity suite."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import kernel_nullity, m_nullity
-from powker.ffpoly import BiPoly, PrimeModulus, parse_poly, poly_pow
+from powker import homspace
+from powker.errors import ConsistencyError
+from powker.ffpoly import BiPoly, PrimeModulus, is_divisible, parse_poly, poly_pow
 from powker.homspace import (
     FpMatrix,
     HomProblem,
     HomSpace,
+    LevelOperator,
     _generic_columns,
-    _graded_columns,
     contains,
     div_r_shift,
     family_element,
@@ -21,7 +27,7 @@ from powker.homspace import (
     verify_substitution_identity,
 )
 from powker.reps import f_of, filtration_rep, r_poly
-from powker.steenrod import h_poly, parameters
+from powker.steenrod import h_poly, parameters, total_power
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -131,6 +137,19 @@ def _in_span(space: HomSpace, m: BiPoly) -> bool:
     return with_m.rank() == len(rows)
 
 
+def _non_members(space: HomSpace, rng: random.Random, count: int):
+    """Seeded random domain elements outside the span of the basis."""
+    q = space.problem.p.p
+    domain = space.problem.domain_monomials()
+    found = 0
+    while found < count:
+        m = BiPoly(space.problem.p, {key: rng.randrange(q) for key in domain})
+        if m.is_zero() or _in_span(space, m):
+            continue
+        found += 1
+        yield m
+
+
 class TestKernelCorrectness:
     # dual route: membership is decided by divisibility, never via the basis
 
@@ -142,19 +161,11 @@ class TestKernelCorrectness:
 
     @pytest.mark.parametrize("q,a", [(3, 2), (5, 2)])
     def test_non_members_fail(self, q, a):
-        import random
-
         rng = random.Random(20260816)
         space = ma_space(PrimeModulus(q), a)
-        domain = space.problem.domain_monomials()
-        checked = 0
-        while checked < len(domain) - space.dim:
-            coeffs = {key: rng.randrange(q) for key in domain}
-            m = BiPoly(space.problem.p, coeffs)
-            if m.is_zero() or _in_span(space, m):
-                continue
+        outside = len(space.problem.domain_monomials()) - space.dim
+        for m in _non_members(space, rng, outside):
             assert not contains(space, m)
-            checked += 1
 
     def test_membership_is_linear(self):
         space = ma_space(P5, 2)
@@ -225,6 +236,26 @@ class TestShifts:
         with pytest.raises(ValueError):
             div_r_shift(P3, 3, BiPoly.monomial(P3, 3, 3))
 
+    def test_failed_image_check_raises_consistency_error(self, monkeypatch):
+        real = homspace._operator
+
+        class NonzeroImage:
+            def image(self, m):
+                return BiPoly.one(m.modulus)
+
+        def patched(level: int):
+            good = homspace._ma_problem(P3, level)
+            return lambda prob: real(prob) if prob == good else NonzeroImage()
+
+        m = ma_space(P3, 2).basis[0]
+        lifted = mul_r_shift(P3, 2, 3, m)
+        monkeypatch.setattr(homspace, "_operator", patched(2))
+        with pytest.raises(ConsistencyError):
+            mul_r_shift(P3, 2, 3, m)
+        monkeypatch.setattr(homspace, "_operator", patched(3))
+        with pytest.raises(ConsistencyError):
+            div_r_shift(P3, 3, lifted)
+
     def test_level_range_checks(self):
         m = ma_space(P3, 2).basis[0]
         with pytest.raises(ValueError):
@@ -267,19 +298,82 @@ class TestEchelonForm:
                     assert not b.coefficient(i, j)
 
 
+def _operator_columns(op: LevelOperator) -> list[dict]:
+    """The operator's column at each domain monomial, as a coefficient map."""
+    mod = op.problem.p
+    return [
+        {(i, j): c for i, j, c in op.image(BiPoly.monomial(mod, ti, xj)).iterterms()}
+        for ti, xj in op.domain
+    ]
+
+
 class TestColumnAssembly:
-    @pytest.mark.parametrize("q,a,k", [(3, 2, 2), (5, 2, 3), (5, 2, 5), (5, 3, 1)])
-    def test_graded_matches_generic(self, q, a, k):
+    @pytest.mark.parametrize(
+        "q,a,k", [(3, 2, 2), (5, 2, 3), (5, 2, 5), (5, 3, 1), (7, 2, 4), (3, 3, 3)]
+    )
+    def test_operator_matches_generic(self, q, a, k):
         mod = PrimeModulus(q)
         prob = HomProblem(mod, f_of(filtration_rep(mod, a, k)), parameters(mod, a).delta, h_poly(mod, a))
-        assert _graded_columns(prob) == _generic_columns(prob)
+        assert _operator_columns(LevelOperator(prob)) == _generic_columns(prob)
 
     def test_inhomogeneous_divisor_uses_generic_path(self):
         f = BiPoly(P3, {(0, 3): 1, (1, 0): -1})  # x^3 - t, monic, not homogeneous
         prob = HomProblem(P3, f, 3, h_poly(P3, 2))
         space = hom_space(prob)
+        assert _operator_columns(LevelOperator(prob)) == _generic_columns(prob)
         for b in space.basis:
             assert contains(space, b)
+        # one more domain monomial on top of a basis element leaves the kernel
+        perturbed = [b + BiPoly.monomial(P3, i, j) for b in space.basis for i, j in prob.domain_monomials()]
+        outside = [m for m in perturbed if not _in_span(space, m)]
+        assert outside
+        for m in outside:
+            assert not contains(space, m)
+
+    def test_empty_domain_contains_only_zero(self):
+        prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
+        space = hom_space(prob)
+        assert prob.domain_monomials() == () and space.dim == 0
+        assert contains(space, BiPoly.zero(P3))
+        with pytest.raises(ValueError):
+            contains(space, BiPoly.monomial(P3, 3, 0))
+
+
+@st.composite
+def _divisor_problems(draw):
+    """Random homogeneous monic divisors: products of x - w*t and of r."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    mod = PrimeModulus(q)
+    weights = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6))
+    blocks = draw(st.integers(0, 2 if q < 7 else 1))
+    f = poly_pow(r_poly(mod), blocks)
+    for w in weights:
+        f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
+    a = draw(st.integers(2, 3))
+    delta = draw(st.integers(0, parameters(mod, a).delta))
+    return HomProblem(mod, f, delta, h_poly(mod, a))
+
+
+class TestOperatorProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(prob=_divisor_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_random_divisors(self, prob, seed):
+        q = prob.p.p
+        assert _operator_columns(LevelOperator(prob)) == _generic_columns(prob)
+        space = hom_space(prob)
+        f_dict = {(i, j): c for i, j, c in prob.f.iterterms()}
+        h_dict = {(i, j): c for i, j, c in prob.h.iterterms()}
+        assert space.dim == kernel_nullity(q, f_dict, prob.delta, h_dict)
+
+        def divides(m):
+            return is_divisible(total_power(m) - prob.h * m, prob.f)
+
+        for b in space.basis:
+            assert contains(space, b) and divides(b)
+        rng = random.Random(seed)
+        outside = min(3, len(prob.domain_monomials()) - space.dim)
+        for m in _non_members(space, rng, outside):
+            assert not contains(space, m) and not divides(m)
 
 
 class TestOracleAgreement:
