@@ -48,5 +48,12 @@ def reduce_slice(w: list[int], fcoeffs: list[int], p: int) -> list[int]:
     return _active.reduce_slice(w, fcoeffs, p)
 
 
+# The compiled rref multiplies two residues in int64, which overflows once
+# p(p - 1) >= 2^63; moduli from 2^31 up run on the pure-Python kernel.
+_C_RREF_LIMIT = 2**31
+
+
 def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    if p >= _C_RREF_LIMIT:
+        return _pykernel.rref(rows, ncols, p)
     return _active.rref(rows, ncols, p)

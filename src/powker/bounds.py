@@ -18,6 +18,7 @@ report content is deterministic and independent of the worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 from dataclasses import dataclass
 
@@ -137,16 +138,25 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def filtration_table(p: PrimeModulus, a: int) -> FiltrationTable:
-    """Kernel dimensions against f(V(a-1) + U(k)) for k = 0 .. p."""
+def _flag_walk(p: PrimeModulus, a: int, blocks: int) -> list[tuple[int, int, int]]:
+    """(k, dim V, kernel dim) against f(V(blocks) + U(k)) for k = 0 .. p.
+
+    Every step uses the level-a degree and twist.
+    """
     pars = parameters(p, a)
     h = h_poly(p, a)
-    pp = p.p
     rows = []
-    for k in range(pp + 1):
-        rep = filtration_rep(p, a, k)
+    for k in range(p.p + 1):
+        rep = filtration_rep(p, blocks + 1, k)
         space = hom_space(HomProblem(p, f_of(rep), pars.delta, h))
         rows.append((k, rep.dim, space.dim))
+    return rows
+
+
+def filtration_table(p: PrimeModulus, a: int) -> FiltrationTable:
+    """Kernel dimensions against f(V(a-1) + U(k)) for k = 0 .. p."""
+    pp = p.p
+    rows = _flag_walk(p, a, a - 1)
     half = (pp - 1) // 2
     for k, _dv, dim in rows[: half + 1]:
         if dim != pp:
@@ -171,14 +181,7 @@ def pre_filtration_dims(p: PrimeModulus, a: int) -> tuple[int, ...]:
     """
     if a < 3:
         raise ValueError(f"a must be at least 3, got {a}")
-    pars = parameters(p, a)
-    h = h_poly(p, a)
-    dims = []
-    for k in range(p.p + 1):
-        rep = filtration_rep(p, a - 1, k)
-        space = hom_space(HomProblem(p, f_of(rep), pars.delta, h))
-        dims.append(space.dim)
-    return tuple(dims)
+    return tuple(dim for _k, _dv, dim in _flag_walk(p, a, a - 2))
 
 
 def rank_report(p: PrimeModulus, a: int) -> RankReport:
@@ -228,18 +231,22 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa.
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
-    computed by a process pool; the merged report does not depend on
-    the worker count (timings aside).
+    computed by a process pool of at most min(parallelism, pairs, CPUs)
+    workers, each running the caller's kernel backend; the merged report
+    does not depend on the worker count (timings aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     pairs = _sweep_pairs(max_pa)
-    if parallelism == 1 or len(pairs) <= 1:
+    workers = min(parallelism, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_kernel.use, initargs=(_kernel.backend(),)
+        ) as pool:
             rows = list(pool.map(_sweep_row, pairs))
     engine = f"powker/{__version__} ({_kernel.backend()})"
     return SweepReport(max_pa=max_pa, engine=engine, rows=tuple(rows))

@@ -12,10 +12,10 @@ text form writes terms in that order as ``c*t^i*x^j`` joined by `` + ``,
 omitting unit coefficients, zero exponents and exponent 1, e.g.
 ``x^3 + 2*t^2*x``.  `BiPoly.parse` reads the same grammar back.
 
-Division lives in `divmod_x`: dividends are viewed as polynomials in x
-with coefficients in F_p[t], and the divisor must be monic in x (its
-leading x-coefficient is the constant 1), so quotient and remainder are
-exact and unique with deg_x(remainder) < deg_x(divisor).
+Division lives in `BiPoly.divmod_x`: dividends are viewed as
+polynomials in x with coefficients in F_p[t], and the divisor must be
+monic in x (its leading x-coefficient is the constant 1), so quotient
+and remainder are exact and unique with deg_x(remainder) < deg_x(divisor).
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ __all__ = [
     "FpScalar",
     "BiPoly",
     "TriPoly",
-    "poly_add",
-    "poly_mul",
-    "poly_pow",
-    "divmod_x",
-    "homogeneous_component",
     "is_divisible",
     "binom_mod",
-    "parse_poly",
 ]
 
 
@@ -521,33 +515,7 @@ class TriPoly:
         return f"TriPoly(p={self.modulus.p}, [{inner}])"
 
 
-# -- module-level operation aliases ----------------------------------
-
-
-def poly_add(a: BiPoly, b: BiPoly) -> BiPoly:
-    return a + b
-
-
-def poly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    return a * b
-
-
-def poly_pow(a: BiPoly, e: int) -> BiPoly:
-    return a ** e
-
-
-def divmod_x(dividend: BiPoly, divisor: BiPoly) -> tuple[BiPoly, BiPoly]:
-    return dividend.divmod_x(divisor)
-
-
-def homogeneous_component(m: BiPoly, d: int) -> BiPoly:
-    return m.homogeneous_component(d)
-
-
 def is_divisible(numerator: BiPoly, divisor: BiPoly) -> bool:
     """True iff divisor divides numerator exactly (zero remainder)."""
     return numerator.divmod_x(divisor)[1].is_zero()
 
-
-def parse_poly(modulus: PrimeModulus, text: str) -> BiPoly:
-    return BiPoly.parse(modulus, text)

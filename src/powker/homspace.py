@@ -1,7 +1,7 @@
 """Kernel spaces of the twisted power-operation congruence.
 
-A `HomProblem` fixes an odd prime p, a polynomial f monic in x of
-x-degree d, a degree delta and a twist h in F_p[t] with nonzero
+A `HomProblem` fixes an odd prime p, a homogeneous polynomial f monic
+in x of x-degree d, a degree delta and a twist h in F_p[t] with nonzero
 constant term.  The associated linear map sends a homogeneous
 polynomial m of degree delta to the remainder of P(m) - h*m under
 division by f; `hom_space` computes the kernel of that map on the
@@ -13,11 +13,10 @@ listed with the highest x-power first.  The kernel basis is returned in
 reduced echelon form with respect to that monomial order, so it is
 unique and deterministic.
 
-`LevelOperator` holds that map as a matrix over F_p.  For homogeneous
-f (every problem built here), each homogeneous slice of P(m) - h*m
-reduces like a polynomial in x modulo f(x, 1), so each column is a sum
-of rows of the remainder table R[e] = x^e mod f(x, 1), built once per
-divisor; inhomogeneous f falls back to generic division.  Row
+`LevelOperator` holds that map as a matrix over F_p.  Since f is
+homogeneous, each homogeneous slice of P(m) - h*m reduces like a
+polynomial in x modulo f(x, 1), so each column is a sum of rows of the
+remainder table R[e] = x^e mod f(x, 1), built once per divisor.  Row
 reduction runs on the kernel backend.  Membership (`contains` and the
 shift checks) applies the operator to m and never reads the basis.
 
@@ -43,9 +42,9 @@ from operator import mul
 
 from . import _kernel
 from .errors import ConsistencyError
-from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod, poly_pow
+from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
 from .reps import f_of, filtration_rep, r_poly
-from .steenrod import SplitPoly, h_poly, parameters, q_of_split, total_power
+from .steenrod import SplitPoly, h_poly, parameters, q_of_split
 
 __all__ = [
     "HomProblem",
@@ -78,6 +77,8 @@ class HomProblem:
             raise ValueError("modulus mismatch")
         if not self.f.is_monic_in_x():
             raise ValueError("f must be monic in x")
+        if not self.f.is_homogeneous():
+            raise ValueError("f must be homogeneous")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.h.x_degree() > 0:
@@ -108,12 +109,7 @@ class LevelOperator:
     def __init__(self, problem: HomProblem):
         self.problem = problem
         self.domain = problem.domain_monomials()
-        if problem.f.is_homogeneous():
-            self.keys, self.rows = _graded_rows(problem, self.domain)
-        else:
-            columns = _generic_columns(problem)
-            self.keys = sorted({k for col in columns for k in col}, key=lambda t: (-t[1], -t[0]))
-            self.rows = [[col.get(key, 0) for col in columns] for key in self.keys]
+        self.keys, self.rows = _graded_rows(problem, self.domain)
 
     def image(self, m: BiPoly) -> BiPoly:
         """(P(m) - h*m) mod f, summed from the columns at m's monomials.
@@ -206,26 +202,8 @@ class FpMatrix:
         self.ncols = ncols
         self._rows = clean
 
-    @property
-    def nrows(self) -> int:
-        return len(self._rows)
-
-    def entry(self, r: int, c: int) -> FpScalar:
-        return FpScalar(self._rows[r][c], self.modulus)
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._rows]
-
-    def rref(self) -> "FpMatrix":
-        reduced = _kernel.rref(self._rows, self.ncols, self.modulus.p)
-        return FpMatrix(self.modulus, reduced, self.ncols)
-
     def rank(self) -> int:
         return len(_kernel.rref(self._rows, self.ncols, self.modulus.p))
-
-    def nullspace(self) -> "FpMatrix":
-        """Kernel basis as rows, in reduced echelon form (unique)."""
-        return FpMatrix(self.modulus, _nullspace(self._rows, self.ncols, self.modulus.p), self.ncols)
 
 
 def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
@@ -252,9 +230,9 @@ def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
 
 
 def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
-    # Homogeneous f: the slice of degree delta + g of each column is a
-    # sum of remainder-table rows, accumulated in plain ints and reduced
-    # mod p once.  Rows come out in the operator's key order directly.
+    # The slice of degree delta + g of each column is a sum of
+    # remainder-table rows, accumulated in plain ints and reduced mod p
+    # once.  Rows come out in the operator's key order directly.
     p = problem.p.p
     shift = p - 1
     d = problem.f.x_degree()
@@ -299,16 +277,6 @@ def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
                 keys.append((problem.delta + g - e, e))
                 rows.append(row)
     return keys, rows
-
-
-def _generic_columns(problem: HomProblem) -> list[dict[tuple[int, int], int]]:
-    columns = []
-    for i, j in problem.domain_monomials():
-        m = BiPoly.monomial(problem.p, i, j)
-        diff = total_power(m) - problem.h * m
-        rem = diff.divmod_x(problem.f)[1]
-        columns.append({(ti, xj): c for ti, xj, c in rem.iterterms()})
-    return columns
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
@@ -385,7 +353,7 @@ def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
         raise ValueError(f"b must be at least a, got {b} < {a}")
     if not _in_level(p, a, m):
         raise ValueError("m is not in the level-a kernel space")
-    out = m * poly_pow(r_poly(p), b - a)
+    out = m * r_poly(p) ** (b - a)
     if not _in_level(p, b, out):
         raise ConsistencyError(
             f"r-multiple of a level-{a} kernel element fell outside level {b}"
@@ -415,7 +383,7 @@ def verify_qr_identity(p: PrimeModulus) -> bool:
     split_r = SplitPoly(p, FpScalar(1, p), tuple(FpScalar(k, p) for k in range(pp)))
     lhs = q_of_split(split_r)
     one_plus_tau = BiPoly(p, {(0, 0): 1, (pp - 1, 0): 1})
-    rhs = poly_pow(r_poly(p), pp - 1) + one_plus_tau ** (pp - 1)
+    rhs = r_poly(p) ** (pp - 1) + one_plus_tau ** (pp - 1)
     return lhs == rhs
 
 
@@ -442,5 +410,5 @@ def verify_k_lemma(p: PrimeModulus) -> bool:
         lhs = lhs * TriPoly(p, [linear ** (pp - 1), one])
     tau_pow = BiPoly.monomial(p, pp - 1, 0)
     k_shift = TriPoly(p, [tau_pow, one]) ** (pp - 1)
-    rhs = TriPoly(p, [poly_pow(r_poly(p), pp - 1)]) + TriPoly(p, [zero, one]) * k_shift
+    rhs = TriPoly(p, [r_poly(p) ** (pp - 1)]) + TriPoly(p, [zero, one]) * k_shift
     return lhs == rhs

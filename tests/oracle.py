@@ -127,24 +127,24 @@ def level_divisor(p, a):
     return f
 
 
-def kernel_nullity(p, f, delta, h):
-    """Nullity of m -> (P(m) - h*m) mod f on degree-delta monomials."""
+def reduced_columns(p, f, delta, h):
+    """(P(m) - h*m) mod f for each degree-delta domain monomial m, highest x-power first."""
     d = x_degree(f)
-    mons = [(delta - j, j) for j in range(min(delta, d - 1), -1, -1)]
     cols = []
-    keys = set()
-    reduced = []
-    for (i, j) in mons:
-        m = {(i, j): 1}
+    for j in range(min(delta, d - 1), -1, -1):
+        m = {(delta - j, j): 1}
         diff = padd(sub_power(m, p), pscale(pmul(h, m, p), p - 1, p), p)
         _q, rem = divmod_x(diff, f, p)
-        reduced.append(rem)
-        keys.update(rem)
-    keys = sorted(keys)
-    for rem in reduced:
-        cols.append([rem.get(k, 0) for k in keys])
-    rows = [[col[idx] for col in cols] for idx in range(len(keys))]
-    return nullity(rows, len(mons), p)
+        cols.append(rem)
+    return cols
+
+
+def kernel_nullity(p, f, delta, h):
+    """Nullity of m -> (P(m) - h*m) mod f on degree-delta monomials."""
+    cols = reduced_columns(p, f, delta, h)
+    keys = sorted(set().union(*cols))
+    rows = [[col.get(k, 0) for col in cols] for k in keys]
+    return nullity(rows, len(cols), p)
 
 
 def m_nullity(p, a):

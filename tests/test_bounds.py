@@ -1,9 +1,12 @@
 """Tests for filtration tables, rank reports and the sweep harness."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
+from powker import _kernel
 from powker.bounds import (
     ORDER_STATEMENT,
     _sweep_pairs,
@@ -128,6 +131,43 @@ class TestSweep:
             return json.dumps(d, sort_keys=True)
 
         assert strip(serial) == strip(parallel)
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # a stand-in pool that records its arguments and maps in this
+        # process, so no worker is ever started
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+                kwargs["initializer"](*kwargs["initargs"])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        serial = sweep(12, parallelism=1)
+        report = sweep(12, parallelism=100000)  # 6 pairs, 4 CPUs
+        assert [(r.report.p.p, r.report.a) for r in report.rows] == [
+            (r.report.p.p, r.report.a) for r in serial.rows
+        ]
+        assert report.engine == serial.engine
+        sweep(6, parallelism=100000)  # a single pair runs in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sweep(12, parallelism=3)  # unknown CPU count: serial
+        assert pools == [
+            {"max_workers": 4, "initializer": _kernel.use, "initargs": (_kernel.backend(),)}
+        ]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        sweep(12, parallelism=100000)
+        assert pools[-1]["max_workers"] == len(_sweep_pairs(12))
 
     def test_serialization(self):
         report = sweep(10, parallelism=1)

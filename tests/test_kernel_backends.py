@@ -16,7 +16,7 @@ from powker._pykernel import reduce_slice as py_reduce_slice
 from powker._pykernel import rref as py_rref
 from powker.bounds import filtration_table
 from powker.ffpoly import PrimeModulus
-from powker.homspace import ma_space
+from powker.homspace import FpMatrix, ma_space
 
 HAS_C = "c" in _kernel.available()
 
@@ -153,6 +153,24 @@ class TestReduceSliceSemantics:
             for _i, j, c in rem.iterterms():
                 expect[j] = c
             assert w[:3] == expect
+
+
+class TestLargeModulus:
+    # 2^32 + 15, the least prime above 2^32: products of two residues
+    # no longer fit in a signed 64-bit integer
+    P = 4294967311
+
+    @pytest.mark.parametrize("name", _kernel.available())
+    def test_rref_matches_naive(self, name, restore_backend):
+        _kernel.use(name)
+        rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        assert FpMatrix(PrimeModulus(self.P), rows, 3).rank() == 3
+        rng = random.Random(2**32)
+        for _ in range(50):
+            nrows = rng.randrange(1, 6)
+            ncols = rng.randrange(1, 6)
+            rows = [[rng.randrange(self.P) for _ in range(ncols)] for _ in range(nrows)]
+            assert _kernel.rref(rows, ncols, self.P) == naive_rref(rows, ncols, self.P), rows
 
 
 class TestBackendSwitch:
