@@ -47,8 +47,6 @@ class TestHomProblem:
             HomProblem(P3, r, 3, BiPoly.tau(P3))  # twist needs a constant term
         with pytest.raises(ValueError):
             HomProblem(P3, r_poly(P5), 3, h)
-        with pytest.raises(ValueError, match="homogeneous"):
-            HomProblem(P3, BiPoly(P3, {(0, 3): 1, (1, 0): -1}), 3, h)  # x^3 - t
 
     def test_domain_order_and_truncation(self):
         # delta below the divisor degree: no truncation
@@ -321,6 +319,24 @@ class TestColumnAssembly:
         mod = PrimeModulus(q)
         prob = HomProblem(mod, f_of(filtration_rep(mod, a, k)), parameters(mod, a).delta, h_poly(mod, a))
         assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+
+    def test_inhomogeneous_divisor_uses_generic_path(self):
+        # there is no generic division path: an inhomogeneous divisor is refused
+        h = h_poly(P3, 2)
+        with pytest.raises(ValueError, match="homogeneous"):
+            HomProblem(P3, BiPoly(P3, {(0, 3): 1, (1, 0): -1}), 3, h)  # x^3 - t
+        # its homogenisation goes through the level operator and agrees with the oracle
+        prob = HomProblem(P3, BiPoly(P3, {(0, 3): 1, (3, 0): -1}), 3, h)  # x^3 - t^3
+        space = hom_space(prob)
+        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+        for b in space.basis:
+            assert contains(space, b)
+        # one more domain monomial on top of a basis element leaves the kernel
+        perturbed = [b + BiPoly.monomial(P3, i, j) for b in space.basis for i, j in prob.domain_monomials()]
+        outside = [m for m in perturbed if not _in_span(space, m)]
+        assert outside
+        for m in outside:
+            assert not contains(space, m)
 
     def test_empty_domain_contains_only_zero(self):
         prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
