@@ -1,8 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled twins of the kernels in powker._pykernel.
+"""Compiled twin of `rref` in powker._pykernel.
 
-The contracts (and the algorithms) are documented there; the two
-modules must stay in lockstep so that results are bit-identical.
+The contract (and the algorithm) is documented there; the two must
+stay in lockstep so that results are bit-identical.
 """
 
 from libc.stdlib cimport free, malloc
@@ -20,46 +20,6 @@ cdef inline long long _modinv(long long v, long long p):
         base = base * base % p
         e >>= 1
     return result
-
-
-def reduce_slice(list w, list fcoeffs, long long p):
-    """In-place remainder of a homogeneous slice modulo f; see _pykernel."""
-    cdef Py_ssize_t n = len(w)
-    cdef Py_ssize_t d = len(fcoeffs) - 1
-    if n - 1 < d:
-        return w
-    cdef long long* wb = <long long*> malloc(n * sizeof(long long))
-    cdef long long* fb = <long long*> malloc((d + 1) * sizeof(long long))
-    if wb == NULL or fb == NULL:
-        if wb != NULL:
-            free(wb)
-        if fb != NULL:
-            free(fb)
-        raise MemoryError()
-    cdef Py_ssize_t idx, j, k
-    cdef long long c, fk, v
-    try:
-        for idx in range(n):
-            wb[idx] = w[idx]
-        for idx in range(d + 1):
-            fb[idx] = fcoeffs[idx]
-        for j in range(n - 1, d - 1, -1):
-            c = wb[j]
-            if c:
-                wb[j] = 0
-                for k in range(d):
-                    fk = fb[k]
-                    if fk:
-                        v = (wb[j - d + k] - c * fk) % p
-                        if v < 0:
-                            v += p
-                        wb[j - d + k] = v
-        for idx in range(n):
-            w[idx] = wb[idx]
-    finally:
-        free(wb)
-        free(fb)
-    return w
 
 
 def rref(list rows, Py_ssize_t ncols, long long p):

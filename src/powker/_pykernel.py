@@ -1,7 +1,9 @@
-"""Pure-Python implementations of the two hot kernels.
+"""Pure-Python kernels: `rref` and the slice reducer `reduce_slice`.
 
-`powker._ckernel` is the compiled twin; both must produce identical
-output for identical input.  Keep the algorithms in lockstep.
+`powker._ckernel` is the compiled twin of `rref`; both must produce
+identical output for identical input.  Keep the algorithms in lockstep.
+`reduce_slice` has no compiled twin: the engine no longer calls it, and
+it stays only as the name the benchmark's traced pass wraps.
 """
 
 from __future__ import annotations

@@ -148,8 +148,8 @@ def _flag_walk(p: PrimeModulus, a: int, blocks: int) -> list[tuple[int, int, int
     rows = []
     for k in range(p.p + 1):
         rep = filtration_rep(p, blocks + 1, k)
-        space = hom_space(HomProblem(p, f_of(rep), pars.delta, h))
-        rows.append((k, rep.dim, space.dim))
+        dim = hom_space(HomProblem(p, f_of(rep), pars.delta, h)).dim
+        rows.append((k, rep.dim, dim))
     return rows
 
 

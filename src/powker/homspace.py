@@ -17,8 +17,11 @@ unique and deterministic.
 homogeneous, each homogeneous slice of P(m) - h*m reduces like a
 polynomial in x modulo f(x, 1), so each column is a sum of rows of the
 remainder table R[e] = x^e mod f(x, 1), built once per divisor.  Row
-reduction runs on the kernel backend.  Membership (`contains` and the
-shift checks) applies the operator to m and never reads the basis.
+reduction runs on the kernel backend.  `hom_space` keeps the reduced
+echelon rows of the operator on the space as its `equations` (the
+kernel of a matrix is the kernel of its RREF) and drops the operator.
+Membership (`contains` and the shift checks) evaluates those equations
+at m's coordinates and never reads the basis.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -36,7 +39,7 @@ membership guarantees as they go.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -94,6 +97,26 @@ class HomProblem:
         """(t-exp, x-exp) pairs of the domain basis, highest x-power first."""
         return tuple((self.delta - j, j) for j in range(self.x_bound(), -1, -1))
 
+    def coordinates(self, m: BiPoly) -> list[int]:
+        """m's coefficients on the domain basis, in `domain_monomials` order.
+
+        m must be zero or homogeneous of degree delta with x-degree at
+        most `x_bound()`; anything else raises ValueError.
+        """
+        if m.modulus != self.p:
+            raise ValueError("modulus mismatch")
+        top = self.x_bound()
+        vec = [0] * (top + 1)
+        if m.is_zero():
+            return vec
+        if not m.is_homogeneous() or m.degree() != self.delta:
+            raise ValueError(f"m must be homogeneous of degree {self.delta}")
+        if m.x_degree() > top:
+            raise ValueError("m lies outside the domain basis (x-degree too high)")
+        for _i, j, c in m.iterterms():
+            vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
+        return vec
+
 
 class LevelOperator:
     """The map m -> (P(m) - h*m) mod f of a `HomProblem`, as a matrix over F_p.
@@ -111,40 +134,15 @@ class LevelOperator:
         self.domain = problem.domain_monomials()
         self.keys, self.rows = _graded_rows(problem, self.domain)
 
-    def image(self, m: BiPoly) -> BiPoly:
-        """(P(m) - h*m) mod f, summed from the columns at m's monomials.
-
-        m must be zero or homogeneous of degree delta with x-degree at
-        most `problem.x_bound()`; anything else raises ValueError.
-        """
-        problem = self.problem
-        if m.modulus != problem.p:
-            raise ValueError("modulus mismatch")
-        if m.is_zero():
-            return m
-        if not m.is_homogeneous() or m.degree() != problem.delta:
-            raise ValueError(f"m must be homogeneous of degree {problem.delta}")
-        top = problem.x_bound()
-        if m.x_degree() > top:
-            raise ValueError("m lies outside the domain basis (x-degree too high)")
-        p = problem.p.p
-        vec = [0] * len(self.domain)
-        for _i, j, c in m.iterterms():
-            vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
-        out = {}
-        for key, row in zip(self.keys, self.rows):
-            v = sum(map(mul, row, vec)) % p
-            if v:
-                out[key] = v
-        return BiPoly(problem.p, out)
-
 
 @dataclass(frozen=True)
 class HomSpace:
-    """A computed kernel: the problem plus a reduced echelon basis."""
+    """A computed kernel: the problem, a reduced echelon basis, and the
+    operator's RREF rows, which decide membership (unique, so not compared)."""
 
     problem: HomProblem
     basis: tuple[BiPoly, ...]
+    equations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -162,9 +160,8 @@ class HomSpace:
         return out
 
 
-def _nullspace(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Kernel basis of the matrix with these rows, in reduced echelon form (unique)."""
-    reduced = _kernel.rref(rows, ncols, p)
+def _nullspace(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Kernel basis of a matrix given by its RREF rows, in reduced echelon form (unique)."""
     pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
     pivot_set = set(pivots)
     basis = []
@@ -281,16 +278,16 @@ def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
 
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis."""
-    op = LevelOperator(problem)
-    domain = op.domain
+    p = problem.p.p
+    domain = problem.domain_monomials()
+    equations = _kernel.rref(LevelOperator(problem).rows, len(domain), p)
     basis = []
-    for vec in _nullspace(op.rows, len(domain), problem.p.p):
+    for vec in _nullspace(equations, len(domain), p):
         coeffs = {domain[idx]: v for idx, v in enumerate(vec) if v}
         basis.append(BiPoly(problem.p, coeffs))
-    return HomSpace(problem, tuple(basis))
+    return HomSpace(problem, tuple(basis), tuple(map(tuple, equations)))
 
 
-@lru_cache(maxsize=128)
 def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
     pars = parameters(p, a)
     f = f_of(filtration_rep(p, a, (p.p + 1) // 2))
@@ -305,6 +302,15 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     space down to the linear span of the family elements; the half-flag
     space is the one whose dimension (p - 1) the rank reports use.
     """
+    return _level(p, a, _kernel.backend())
+
+
+@lru_cache(maxsize=8)
+def _level(p: PrimeModulus, a: int, backend: str) -> HomSpace:
+    # The backend is part of the key, so that switching backends with
+    # `_kernel.use` never returns a space the other backend computed.
+    # `verify` walks consecutive levels; eight entries also cover every
+    # pair of levels up to p = 7.
     return hom_space(_ma_problem(p, a))
 
 
@@ -323,25 +329,19 @@ def family_element(p: PrimeModulus, k: int) -> BiPoly:
     return lead * inner
 
 
-@lru_cache(maxsize=2)
-def _operator(problem: HomProblem) -> LevelOperator:
-    # Only membership tests use this cache; hom_space keeps no operator.
-    # The shifts check levels a and a + 1 in turn, so two entries cover
-    # a walk over consecutive levels.
-    return LevelOperator(problem)
-
-
 def _in_level(p: PrimeModulus, a: int, m: BiPoly) -> bool:
-    return _operator(_ma_problem(p, a)).image(m).is_zero()
+    return contains(ma_space(p, a), m)
 
 
 def contains(space: HomSpace, m: BiPoly) -> bool:
     """Membership test: does f divide P(m) - h*m?
 
-    Applies the operator of the space's problem to m; the stored basis
-    is never read.
+    Evaluates the space's equations at m's coordinates on the domain
+    basis; the stored basis is never read.
     """
-    return _operator(space.problem).image(m).is_zero()
+    vec = space.problem.coordinates(m)
+    p = space.problem.p.p
+    return not any(sum(map(mul, row, vec)) % p for row in space.equations)
 
 
 def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from powker import cli, homspace
+from powker import homspace
 from powker.cli import main
 from powker.reps import Representation
 from powker.ffpoly import PrimeModulus
@@ -80,26 +80,26 @@ class TestVerify:
 
     def test_each_level_built_once(self, capsys, monkeypatch):
         levels = []
-        spaces = []
-        real_f_of, real_ma_space = homspace.f_of, cli.ma_space
+        builds = []
+        real_f_of, real_graded_rows = homspace.f_of, homspace._graded_rows
 
         def counting_f_of(rep):
             levels.append(len(rep.weights))
             return real_f_of(rep)
 
-        def counting_ma_space(p, a):
-            spaces.append(a)
-            return real_ma_space(p, a)
+        def counting_graded_rows(problem, domain):
+            builds.append(problem.f.x_degree())
+            return real_graded_rows(problem, domain)
 
-        homspace._ma_problem.cache_clear()
-        homspace._operator.cache_clear()
+        homspace._level.cache_clear()
         monkeypatch.setattr(homspace, "f_of", counting_f_of)
-        monkeypatch.setattr(cli, "ma_space", counting_ma_space)
+        monkeypatch.setattr(homspace, "_graded_rows", counting_graded_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
         assert code == 0
         # the level-a divisor has (a - 1) * p + (p + 1) / 2 weights
-        assert levels == [(a - 1) * 5 + 3 for a in range(2, 6)]
-        assert spaces == [2, 3, 4, 5]
+        expected = [(a - 1) * 5 + 3 for a in range(2, 6)]
+        assert levels == expected
+        assert builds == expected  # one operator per level, membership included
 
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "qr", "--format", "json")

@@ -236,22 +236,26 @@ class TestShifts:
             div_r_shift(P3, 3, BiPoly.monomial(P3, 3, 3))
 
     def test_failed_image_check_raises_consistency_error(self, monkeypatch):
-        real = homspace._operator
+        real = homspace._level
 
-        class NonzeroImage:
-            def image(self, m):
-                return BiPoly.one(m.modulus)
+        def patched(good: int):
+            # every level but `good` gets identity equations: only 0 is a member there
+            def level(p, a, backend):
+                space = real(p, a, backend)
+                if a == good:
+                    return space
+                n = len(space.problem.domain_monomials())
+                identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+                return HomSpace(space.problem, space.basis, identity)
 
-        def patched(level: int):
-            good = homspace._ma_problem(P3, level)
-            return lambda prob: real(prob) if prob == good else NonzeroImage()
+            return level
 
         m = ma_space(P3, 2).basis[0]
         lifted = mul_r_shift(P3, 2, 3, m)
-        monkeypatch.setattr(homspace, "_operator", patched(2))
+        monkeypatch.setattr(homspace, "_level", patched(2))
         with pytest.raises(ConsistencyError):
             mul_r_shift(P3, 2, 3, m)
-        monkeypatch.setattr(homspace, "_operator", patched(3))
+        monkeypatch.setattr(homspace, "_level", patched(3))
         with pytest.raises(ConsistencyError):
             div_r_shift(P3, 3, lifted)
 
@@ -303,8 +307,10 @@ def _as_dict(m: BiPoly) -> dict:
 
 def _operator_columns(op: LevelOperator) -> list[dict]:
     """The operator's column at each domain monomial, as a coefficient map."""
-    mod = op.problem.p
-    return [_as_dict(op.image(BiPoly.monomial(mod, ti, xj))) for ti, xj in op.domain]
+    return [
+        {key: row[col] for key, row in zip(op.keys, op.rows) if row[col]}
+        for col in range(len(op.domain))
+    ]
 
 
 def _oracle_columns(prob: HomProblem) -> list[dict]:
@@ -383,7 +389,11 @@ class TestOperatorProperties:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("q,a", [(3, 2), (5, 2), (3, 3)])
+    # every level with p*a <= 21 is acceptance criterion 7; these go on to 30
+    @pytest.mark.parametrize(
+        "q,a",
+        [(3, 2), (5, 2), (3, 3), (11, 2), (3, 8), (5, 5), (13, 2), (3, 9), (7, 4), (5, 6), (3, 10)],
+    )
     def test_level_dims(self, q, a):
         assert ma_space(PrimeModulus(q), a).dim == m_nullity(q, a)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powker import _kernel
+from powker import _kernel, homspace
 from powker._pykernel import reduce_slice as py_reduce_slice
 from powker._pykernel import rref as py_rref
 from powker.bounds import filtration_table
@@ -119,22 +119,6 @@ class TestCompiledParity:
             rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
             assert c_rref(rows, ncols, p) == py_rref(rows, ncols, p), (p, rows)
 
-    def test_reduce_slice_matches(self):
-        from powker._ckernel import reduce_slice as c_reduce_slice
-
-        rng = random.Random(4242)
-        for _ in range(200):
-            p = rng.choice([3, 5, 7])
-            d = rng.randrange(1, 6)
-            fcoeffs = [rng.randrange(p) for _ in range(d)] + [1]  # monic
-            n = rng.randrange(d + 1, d + 12)
-            w = [rng.randrange(p) for _ in range(n)]
-            a = list(w)
-            b = list(w)
-            py_reduce_slice(a, fcoeffs, p)
-            c_reduce_slice(b, fcoeffs, p)
-            assert a[:d] == b[:d]
-
 
 class TestReduceSliceSemantics:
     def test_division_property(self):
@@ -188,6 +172,18 @@ class TestBackendSwitch:
         assert _kernel.backend() == "python"
         _kernel.use(before)
         assert _kernel.backend() == before
+
+    def test_level_cache_is_per_backend(self, monkeypatch):
+        homspace._level.cache_clear()
+        first = ma_space(PrimeModulus(3), 2)
+        real_backend = _kernel.backend
+        monkeypatch.setattr(_kernel, "backend", lambda: "other")
+        again = ma_space(PrimeModulus(3), 2)
+        assert homspace._level.cache_info().misses == 2
+        assert again == first and again is not first
+        monkeypatch.setattr(_kernel, "backend", real_backend)
+        assert ma_space(PrimeModulus(3), 2) is first
+        assert homspace._level.cache_info().misses == 2
 
     @needs_c
     def test_full_pipeline_parity(self, restore_backend):
