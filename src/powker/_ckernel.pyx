@@ -1,8 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled twin of `rref` in powker._pykernel.
 
-The contract (and the algorithm) is documented there; the two must
-stay in lockstep so that results are bit-identical.
+The contract is documented there: for identical input both give
+identical output, the unique RREF of the row space.  This kernel runs
+the pivot-by-pivot elimination of the Python short path on every
+input; the Python kernel's tall path (kernel tracking on packed
+columns) has no compiled counterpart.
 """
 
 from libc.stdlib cimport free, malloc

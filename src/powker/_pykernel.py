@@ -1,14 +1,97 @@
-"""Pure-Python kernels: `rref` and the slice reducer `reduce_slice`.
+"""Pure-Python kernels: `rref`, packed F_p vectors, and the slice reducer `reduce_slice`.
 
-`powker._ckernel` is the compiled twin of `rref`; both must produce
-identical output for identical input.  Keep the algorithms in lockstep.
-`reduce_slice` has no compiled twin: the engine no longer calls it, and
-it stays only as the name the benchmark's traced pass wraps.
+`powker._ckernel` is the compiled twin of `rref`: for identical input
+both give identical output, the unique RREF of the row space.  Short
+and square input runs the same pivot-by-pivot elimination in both.  On
+tall input (more rows than columns, as every level operator is) the
+Python `rref` tracks a basis of the kernel of the rows instead, packed
+column by column, and returns the annihilator of that kernel, which is
+the same RREF.  `reduce_slice` has no compiled twin: the engine no
+longer calls it, and it stays only as the name the benchmark's traced
+pass wraps.
+
+A packed vector holds k residues in one int: slot i is entry i, in
+bytes [i * width, (i + 1) * width).  A sum of non-negative multiples of
+packed vectors adds slot by slot with no carry as long as every slot
+stays below 256 ** width, so one integer multiply-add does k F_p
+multiply-adds, with one `% p` per slot when unpacking.  Callers derive
+the width from a bound on their slot sums with `slot_width`.
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from itertools import compress
+from operator import mul
+
 BACKEND = "python"
+
+# slot widths that `struct` writes and `memoryview.cast` reads directly
+# (native sizes, little-endian only); other widths take the per-slot byte path
+_CAST = {struct.calcsize(code): code for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def slot_width(bound: int) -> int:
+    """Bytes per slot for packed vectors whose slots stay below `bound`.
+
+    Up to 8 bytes, the width is rounded up to one that `memoryview.cast`
+    reads directly: the spare bytes cost less than the per-slot byte path.
+    """
+    width = max(1, ((bound - 1).bit_length() + 7) // 8)
+    return min((w for w in _CAST if w >= width), default=width)
+
+
+def pack(values, width: int) -> int:
+    """The packed int of a sequence of non-negative values, each below 256 ** width."""
+    code = _CAST.get(width)
+    if code is not None:
+        data = struct.pack(f"<{len(values)}{code}", *values)
+    else:
+        data = b"".join(v.to_bytes(width, "little") for v in values)
+    return int.from_bytes(data, "little")
+
+
+def unpack(n: int, k: int, width: int, p: int) -> list[int]:
+    """The k slots of the packed int n, each reduced mod p."""
+    data = n.to_bytes(k * width, "little")
+    code = _CAST.get(width)
+    if code is not None:
+        return [v % p for v in memoryview(data).cast(code)]
+    return [int.from_bytes(data[i : i + width], "little") % p for i in range(0, k * width, width)]
+
+
+def _dot(row: list[int], cols: list[int], p: int) -> int:
+    """The packed products of a row with vectors packed column by column in cols."""
+    # entries are reduced first, so that every term is non-negative
+    return sum(map(mul, map(p.__rmod__, compress(row, row)), compress(cols, row)))
+
+
+def annihilates(rows: list[list[int]], vectors: list[list[int]], ncols: int, p: int) -> bool:
+    """True when row . v == 0 mod p for every row and every vector v (entries of v in [0, p))."""
+    k = len(vectors)
+    # a slot sums ncols products of two residues
+    width = slot_width(ncols * (p - 1) ** 2 + 1)
+    cols = [pack(col, width) for col in zip(*vectors)]
+    return not any((s := _dot(row, cols, p)) and any(unpack(s, k, width, p)) for row in rows)
+
+
+def nullspace_rows(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Kernel basis of a matrix given by its RREF rows: for each free column f
+    in ascending order, the vector with 1 at f, 0 at the other free columns."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for prow, pc in zip(reduced, pivots):
+            if prow[free]:
+                vec[pc] = (-prow[free]) % p
+        basis.append(vec)
+    return basis
 
 
 def reduce_slice(w: list[int], fcoeffs: list[int], p: int) -> list[int]:
@@ -35,12 +118,19 @@ def reduce_slice(w: list[int], fcoeffs: list[int], p: int) -> list[int]:
 def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Nonzero rows of the reduced row echelon form of the given matrix.
 
-    Rows are processed in order and reduced against the pivot rows found
-    so far (the pivot for a column is the first row seen with a nonzero
-    entry there).  Pivot entries are normalized to 1 and their columns
-    cleared everywhere, so the result is the unique RREF of the row
-    space, ordered by pivot column.
+    The result is the unique RREF of the row space, ordered by pivot
+    column.  Input with more rows than columns goes to `_tall_rref`.
     """
+    if len(rows) > ncols:
+        return _tall_rref(rows, ncols, p)
+    return _short_rref(rows, ncols, p)
+
+
+def _short_rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    # Rows are processed in order and reduced against the pivot rows found
+    # so far (the pivot for a column is the first row seen with a nonzero
+    # entry there).  Pivot entries are normalized to 1 and their columns
+    # cleared everywhere.
     pivots: dict[int, list[int]] = {}
     for row in rows:
         r = [v % p for v in row]
@@ -63,3 +153,53 @@ def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
                 pivots[pc] = [(a - f * b) % p for a, b in zip(prow, r)]
         pivots[lead] = r
     return [pivots[c] for c in sorted(pivots)]
+
+
+def _tall_rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    # Keep a basis of the kernel of the rows seen so far, starting from the
+    # unit vectors, packed column by column: slot j of cols[c] is entry c of
+    # basis vector j, up to a multiple of p.  A row whose products with the
+    # basis all vanish is in the span of the earlier rows and costs one
+    # packed product.  A row with a nonzero product d_i = b_i . row turns
+    # each b_j into b_j - (d_j / d_i) b_i, b_i itself into zero, with one
+    # multiply-add per column; reduction mod p is delayed until the zero
+    # vectors are as many as the others and are dropped.  That happens
+    # after at most ncols / 2 + 1 updates, each of which adds less than
+    # (p - 1)^2 to a slot, so a slot stays below p + ncols (p - 1)^2 and a
+    # product of a reduced row below ncols (p - 1) (p + ncols (p - 1)^2).
+    width = slot_width(ncols * (p - 1) * (p + ncols * (p - 1) ** 2))
+    mask = (1 << 8 * width) - 1
+    size = live = ncols
+    cols = [1 << 8 * width * c for c in range(ncols)]
+    for row in rows:
+        if not live:
+            break
+        s = _dot(row, cols, p)
+        if not s:
+            continue
+        dots = unpack(s, size, width, p)
+        if not any(dots):
+            continue
+        i = next(i for i, v in enumerate(dots) if v)
+        shift = 8 * width * i
+        inv = pow(dots[i], p - 2, p)
+        step = pack([-v * inv % p for v in dots], width)
+        cols = [c + ((c >> shift) & mask) % p * step for c in cols]
+        live -= 1
+        if 2 * live <= size:
+            basis = _kernel_vectors(cols, size, width, p)
+            size = live
+            cols = [pack(col, width) for col in zip(*basis)]
+    basis = _kernel_vectors(cols, size, width, p)
+    # The row space is the annihilator of the kernel.  With the columns
+    # reversed, the kernel's RREF gives annihilator vectors whose last
+    # nonzero entry is a 1 at a free column, zero at the other free
+    # columns; reversed back, those are the RREF rows, last free column
+    # first.
+    flipped = _short_rref([b[::-1] for b in basis], ncols, p)
+    return [v[::-1] for v in reversed(nullspace_rows(flipped, ncols, p))]
+
+
+def _kernel_vectors(cols: list[int], size: int, width: int, p: int) -> list[list[int]]:
+    """The nonzero vectors held in packed columns, reduced mod p."""
+    return [list(v) for v in zip(*(unpack(c, size, width, p) for c in cols)) if any(v)]

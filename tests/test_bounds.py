@@ -17,6 +17,7 @@ from powker.bounds import (
 )
 from powker.ffpoly import PrimeModulus
 from powker.homspace import ma_space
+from powker.steenrod import parameters
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -92,6 +93,13 @@ class TestRankReport:
         assert rep.rank_lower <= rep.rank_e2 <= rep.rank_upper
 
 
+def _without_ms(report) -> str:
+    data = report.to_json()
+    for row in data["rows"]:
+        row.pop("ms")
+    return json.dumps(data, sort_keys=True)
+
+
 class TestSweep:
     def test_pair_enumeration(self):
         assert _sweep_pairs(6) == [(3, 2)]
@@ -123,19 +131,13 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         serial = sweep(12, parallelism=1)
         parallel = sweep(12, parallelism=3)
-
-        def strip(rep):
-            d = rep.to_json()
-            for row in d["rows"]:
-                row.pop("ms")
-            return json.dumps(d, sort_keys=True)
-
-        assert strip(serial) == strip(parallel)
+        assert _without_ms(serial) == _without_ms(parallel)
 
     def test_worker_count_is_clamped(self, monkeypatch):
         # a stand-in pool that records its arguments and maps in this
         # process, so no worker is ever started
         pools = []
+        submitted = []
 
         class RecordingPool:
             def __init__(self, **kwargs):
@@ -149,7 +151,8 @@ class TestSweep:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                submitted.append(list(items))
+                return map(fn, submitted[-1])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -159,6 +162,12 @@ class TestSweep:
             (r.report.p.p, r.report.a) for r in serial.rows
         ]
         assert report.engine == serial.engine
+        assert _without_ms(report) == _without_ms(serial)
+        # the pool gets the costliest pairs (largest degree delta) first
+        order = submitted[0]
+        assert sorted(order) == _sweep_pairs(12) != order
+        costs = [parameters(PrimeModulus(q), a).delta for q, a in order]
+        assert costs == sorted(costs, reverse=True)
         sweep(6, parallelism=100000)  # a single pair runs in this process
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         sweep(12, parallelism=3)  # unknown CPU count: serial

@@ -344,6 +344,15 @@ class TestColumnAssembly:
         for m in outside:
             assert not contains(space, m)
 
+    def test_large_prime_cubic_divisor(self):
+        # at p = 257 a slot of the packed slice sums needs 3 bytes
+        mod = PrimeModulus(257)
+        f = BiPoly.one(mod)
+        for w in (1, 2, 5):
+            f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
+        prob = HomProblem(mod, f, 4, BiPoly(mod, {(0, 0): 1, (256, 0): 3}))
+        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+
     def test_empty_domain_contains_only_zero(self):
         prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
         space = hom_space(prob)
@@ -351,6 +360,32 @@ class TestColumnAssembly:
         assert contains(space, BiPoly.zero(P3))
         with pytest.raises(ValueError):
             contains(space, BiPoly.monomial(P3, 3, 0))
+
+
+class TestKernelCertificate:
+    def _dropping(self, monkeypatch, call):
+        """Make the given call of `_kernel.rref` (0: the operator's, 1: the
+        basis's, in `hom_space`) lose its last row."""
+        real = homspace._kernel.rref
+        seen = []
+
+        def rref(rows, ncols, p):
+            out = real(rows, ncols, p)
+            seen.append(out)
+            return out[:-1] if len(seen) == call + 1 else out
+
+        monkeypatch.setattr(homspace._kernel, "rref", rref)
+
+    def test_dropped_equation_is_caught(self, monkeypatch):
+        # the basis gains a vector outside the kernel; dim + rank still adds up
+        self._dropping(monkeypatch, 0)
+        with pytest.raises(ConsistencyError, match="does not vanish"):
+            hom_space(homspace._ma_problem(P5, 2))
+
+    def test_dropped_basis_vector_is_caught(self, monkeypatch):
+        self._dropping(monkeypatch, 1)
+        with pytest.raises(ConsistencyError, match="dim 3 \\+ rank"):
+            hom_space(homspace._ma_problem(P5, 2))
 
 
 @st.composite

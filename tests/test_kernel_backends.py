@@ -6,17 +6,19 @@ columns; matrices whose pivots appear out of column order trigger it.
 """
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powker import _kernel, homspace
+from powker._pykernel import pack, slot_width, unpack
 from powker._pykernel import reduce_slice as py_reduce_slice
 from powker._pykernel import rref as py_rref
 from powker.bounds import filtration_table
 from powker.ffpoly import PrimeModulus
-from powker.homspace import FpMatrix, ma_space
+from powker.homspace import FpMatrix, LevelOperator, _ma_problem, ma_space
 
 HAS_C = "c" in _kernel.available()
 
@@ -98,6 +100,90 @@ class TestPythonRref:
             lead = next(c for c, v in enumerate(row) if v)
             assert row[lead] == 1
             assert sum(1 for r in out if r[lead]) == 1
+
+
+def _low_rank_tall(rng, p, ncols):
+    """More rows than columns: small combinations of a few base rows, with
+    zero rows, repeated rows and entries outside [0, p), negative ones included."""
+    base = [[rng.randrange(-2 * p, 2 * p) for _ in range(ncols)] for _ in range(rng.randrange(4))]
+    rows = []
+    for _ in range(rng.randrange(ncols + 1, 3 * ncols + 8)):
+        pick = rng.random()
+        if pick < 0.15 or not base:
+            rows.append([0] * ncols)
+        elif pick < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            row = [0] * ncols
+            for b in base:
+                c = rng.randrange(-3, 4)
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append(row)
+    return rows
+
+
+class TestTallRref:
+    # more rows than columns: the kernel-tracking path
+    @pytest.mark.parametrize("p", [3, 5, 13, 2**32 + 15])
+    def test_fuzz_against_naive(self, p):
+        rng = random.Random(p)
+        for _ in range(150):
+            ncols = rng.randrange(1, 9)
+            rows = _low_rank_tall(rng, p, ncols)
+            assert len(rows) > ncols
+            assert py_rref(rows, ncols, p) == naive_rref(rows, ncols, p), (p, rows)
+
+    @pytest.mark.parametrize("q,a", [(5, 4), (7, 3), (11, 2)])
+    def test_level_operators(self, q, a):
+        prob = _ma_problem(PrimeModulus(q), a)
+        op = LevelOperator(prob)
+        ncols = len(op.domain)
+        assert len(op.rows) > ncols
+        assert py_rref(op.rows, ncols, q) == naive_rref(op.rows, ncols, q)
+
+    @given(seed=st.integers(0, 2**32 - 1), order=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_row_order_does_not_matter(self, seed, order):
+        rng = random.Random(seed)
+        p = rng.choice([3, 5, 13])
+        ncols = rng.randrange(1, 7)
+        rows = _low_rank_tall(rng, p, ncols)
+        shuffled = list(rows)
+        order.shuffle(shuffled)
+        assert py_rref(shuffled, ncols, p) == py_rref(rows, ncols, p)
+
+    def test_no_columns(self):
+        assert py_rref([[], [], []], 0, 5) == []
+
+    def test_all_zero(self):
+        assert py_rref([[0, 0, 0]] * 5, 3, 7) == []
+        assert py_rref([[0, 7, -14]] * 5, 3, 7) == []
+
+
+class TestPacking:
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_round_trip_at_the_largest_slot(self, width):
+        top = 256**width - 1
+        p = 2**89 - 1  # larger than every slot here, so unpack reduces nothing
+        values = [top, 0, 1, top]
+        assert unpack(pack(values, width), len(values), width, p) == values
+        assert unpack(0, 3, width, p) == [0, 0, 0]
+        with pytest.raises((OverflowError, struct.error)):
+            pack([0, top + 1], width)
+        with pytest.raises(OverflowError):
+            unpack(pack(values, width) << 8 * width, len(values), width, p)
+
+    def test_unpack_reduces_each_slot(self):
+        assert unpack(pack([7, 12, 5, 0], 2), 4, 2, 5) == [2, 2, 0, 0]
+        assert unpack(pack([7, 12, 5, 0], 3), 4, 3, 5) == [2, 2, 0, 0]
+
+    @pytest.mark.parametrize("bound", [2, 256, 257, 2**16, 2**16 + 1, 2**40, 2**64 + 1, 2**100])
+    def test_slot_width_holds_the_bound(self, bound):
+        width = slot_width(bound)
+        assert bound <= 256**width
+        assert unpack(pack([bound - 1], width), 1, width, bound) == [bound - 1]
+        if width > 8:
+            assert bound > 256 ** (width - 1)  # whole bytes, no rounding past 8
 
 
 @needs_c
