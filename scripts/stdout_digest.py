@@ -35,6 +35,8 @@ COMMANDS = (
     ("verify", "--p", "7", "--suite", "all"),
     ("verify", "--p", "7", "--suite", "all", "--format", "json"),
     ("verify", "--p", "11", "--suite", "shift"),
+    ("verify", "--p", "13", "--suite", "all", "--format", "json"),
+    ("filtration", "--p", "7", "--a", "4", "--format", "json"),
 )
 
 

@@ -1,14 +1,12 @@
 """Pure-Python kernels: `rref`, packed F_p vectors, and the slice reducer `reduce_slice`.
 
-`powker._ckernel` is the compiled twin of `rref`: for identical input
-both give identical output, the unique RREF of the row space.  Short
-and square input runs the same pivot-by-pivot elimination in both.  On
-tall input (more rows than columns, as every level operator is) the
-Python `rref` tracks a basis of the kernel of the rows instead, packed
-column by column, and returns the annihilator of that kernel, which is
-the same RREF.  `reduce_slice` has no compiled twin: the engine no
-longer calls it, and it stays only as the name the benchmark's traced
-pass wraps.
+`rref` is the engine's one row reduction; it returns the unique RREF of
+the row space.  Short and square input runs pivot-by-pivot elimination.
+On tall input (more rows than columns, as every level operator is) it
+tracks a basis of the kernel of the rows instead, packed column by
+column, and returns the annihilator of that kernel, which is the same
+RREF.  The engine no longer calls `reduce_slice`; it stays only as the
+name the benchmark's traced pass wraps.
 
 A packed vector holds k residues in one int: slot i is entry i, in
 bytes [i * width, (i + 1) * width).  A sum of non-negative multiples of
@@ -24,8 +22,6 @@ import struct
 import sys
 from itertools import compress
 from operator import mul
-
-BACKEND = "python"
 
 # slot widths that `struct` writes and `memoryview.cast` reads directly
 # (native sizes, little-endian only); other widths take the per-slot byte path

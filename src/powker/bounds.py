@@ -22,7 +22,6 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import _kernel
 from ._version import __version__
 from .errors import ConsistencyError
 from .ffpoly import PrimeModulus, _is_prime
@@ -240,11 +239,10 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
     computed by a process pool of at most min(parallelism, pairs, CPUs)
-    workers, each running the caller's kernel backend.  The pool gets
-    the pairs costliest first, by an estimate from (p, a), so that no
-    worker idles while the largest pair runs last; the merged report is
-    in (p, a) order and does not depend on the worker count (timings
-    aside).
+    workers.  The pool gets the pairs costliest first, by an estimate
+    from (p, a), so that no worker idles while the largest pair runs
+    last; the merged report is in (p, a) order and does not depend on
+    the worker count (timings aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
@@ -255,11 +253,9 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_kernel.use, initargs=(_kernel.backend(),)
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             longest_first = sorted(pairs, key=_pair_cost, reverse=True)
             done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))
         rows = [done[pair] for pair in pairs]
-    engine = f"powker/{__version__} ({_kernel.backend()})"
+    engine = f"powker/{__version__} (python)"
     return SweepReport(max_pa=max_pa, engine=engine, rows=tuple(rows))

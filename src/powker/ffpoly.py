@@ -34,22 +34,41 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the first 12 primes as bases decides primality
+# exactly below PRIME_LIMIT (psi_12; Sorenson and Webster, Math. Comp.
+# 2017), which is itself a strong pseudoprime to all 12 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n >= PRIME_LIMIT raises ValueError."""
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    # n - 1 = d * 2^s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """An odd prime p >= 3, validated by trial division."""
+    """An odd prime 3 <= p < PRIME_LIMIT, validated by deterministic Miller-Rabin."""
 
     p: int
 

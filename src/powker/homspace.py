@@ -17,8 +17,8 @@ unique and deterministic.
 homogeneous, each homogeneous slice of P(m) - h*m reduces like a
 polynomial in x modulo f(x, 1), so each column is a sum of rows of the
 remainder table R[e] = x^e mod f(x, 1), built once per divisor; slices
-are summed as packed vectors (see `powker._pykernel`).  Row reduction
-runs on the kernel backend.  `hom_space` certifies the kernel (dim +
+are summed as packed vectors, and rows are reduced by `rref` (both in
+`powker._pykernel`).  `hom_space` certifies the kernel (dim +
 rank == ncols, and the operator vanishes on the basis), keeps the
 reduced echelon rows of the operator on the space as its `equations`
 (the kernel of a matrix is the kernel of its RREF) and drops the
@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from . import _kernel
-from ._pykernel import annihilates, nullspace_rows, pack, slot_width, unpack
+from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
 from .reps import f_of, filtration_rep, r_poly
@@ -166,7 +165,7 @@ class HomSpace:
 
 def _nullspace(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Kernel basis of a matrix given by its RREF rows, in reduced echelon form (unique)."""
-    return _kernel.rref(nullspace_rows(reduced, ncols, p), ncols, p)
+    return rref(nullspace_rows(reduced, ncols, p), ncols, p)
 
 
 class FpMatrix:
@@ -192,7 +191,7 @@ class FpMatrix:
         self._rows = clean
 
     def rank(self) -> int:
-        return len(_kernel.rref(self._rows, self.ncols, self.modulus.p))
+        return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
 def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
@@ -280,7 +279,7 @@ def hom_space(problem: HomProblem) -> HomSpace:
     domain = problem.domain_monomials()
     ncols = len(domain)
     rows = LevelOperator(problem).rows
-    equations = _kernel.rref(rows, ncols, p)
+    equations = rref(rows, ncols, p)
     vectors = _nullspace(equations, ncols, p)
     if len(vectors) + len(equations) != ncols:
         raise ConsistencyError(
@@ -309,13 +308,11 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     space down to the linear span of the family elements; the half-flag
     space is the one whose dimension (p - 1) the rank reports use.
     """
-    return _level(p, a, _kernel.backend())
+    return _level(p, a)
 
 
 @lru_cache(maxsize=8)
-def _level(p: PrimeModulus, a: int, backend: str) -> HomSpace:
-    # The backend is part of the key, so that switching backends with
-    # `_kernel.use` never returns a space the other backend computed.
+def _level(p: PrimeModulus, a: int) -> HomSpace:
     # `verify` walks consecutive levels; eight entries also cover every
     # pair of levels up to p = 7.
     return hom_space(_ma_problem(p, a))

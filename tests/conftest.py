@@ -1,17 +1,5 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 # make tests/oracle.py importable regardless of how pytest is invoked
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from powker import _kernel  # noqa: E402
-
-
-@pytest.fixture
-def restore_backend():
-    """Snapshot the active kernel backend and restore it afterwards."""
-    before = _kernel.backend()
-    yield
-    _kernel.use(before)

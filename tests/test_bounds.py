@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from powker import _kernel
+from powker import __version__
 from powker.bounds import (
     ORDER_STATEMENT,
     _sweep_pairs,
@@ -128,6 +128,10 @@ class TestSweep:
         assert all(r.report.conjecture_zp for r in report.rows)
         assert report.engine.startswith("powker/")
 
+    def test_engine_label(self):
+        engine = f"powker/{__version__} (python)"
+        assert sweep(12, parallelism=1).engine == sweep(12, parallelism=2).engine == engine
+
     def test_parallel_matches_serial(self):
         serial = sweep(12, parallelism=1)
         parallel = sweep(12, parallelism=3)
@@ -142,7 +146,6 @@ class TestSweep:
         class RecordingPool:
             def __init__(self, **kwargs):
                 pools.append(kwargs)
-                kwargs["initializer"](*kwargs["initargs"])
 
             def __enter__(self):
                 return self
@@ -171,9 +174,7 @@ class TestSweep:
         sweep(6, parallelism=100000)  # a single pair runs in this process
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         sweep(12, parallelism=3)  # unknown CPU count: serial
-        assert pools == [
-            {"max_workers": 4, "initializer": _kernel.use, "initargs": (_kernel.backend(),)}
-        ]
+        assert pools == [{"max_workers": 4}]
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         sweep(12, parallelism=100000)
         assert pools[-1]["max_workers"] == len(_sweep_pairs(12))

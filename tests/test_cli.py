@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from powker import homspace
+from powker import __version__, homspace
 from powker.cli import main
 from powker.reps import Representation
 from powker.ffpoly import PrimeModulus
@@ -159,6 +159,11 @@ class TestSweep:
         assert code == 0
         assert "dim_ma" in out
 
+    def test_engine_label(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--max-pa", "12", "--jobs", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["engine"] == f"powker/{__version__} (python)"
+
     def test_jobs_do_not_change_output(self, capsys):
         def stripped(argv):
             code, out, _ = run_cli(capsys, *argv)
@@ -178,6 +183,11 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "ma", "--p", "4", "--a", "2")
         assert code == 2
         assert "error" in err
+
+    def test_modulus_beyond_the_primality_limit_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "ma", "--p", "318665857834031151167461", "--a", "2")
+        assert code == 2
+        assert "below" in err
 
     def test_low_level_rejected(self, capsys):
         code, _, err = run_cli(capsys, "ma", "--p", "3", "--a", "1")

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powker.ffpoly import (
+    PRIME_LIMIT,
     BiPoly,
     FpScalar,
     PrimeModulus,
     TriPoly,
+    _is_prime,
     binom_mod,
     is_divisible,
 )
@@ -42,6 +44,33 @@ class TestPrimeModulus:
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ValueError):
             PrimeModulus(bad)
+
+    def test_is_prime_matches_a_sieve(self):
+        n = 20000
+        sieve = [False, False] + [True] * (n - 2)
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = [False] * len(range(q * q, n, q))
+        assert [_is_prime(k) for k in range(n)] == sieve
+
+    # Carmichael numbers, and the least strong pseudoprime to the bases 2 .. 23
+    @pytest.mark.parametrize("bad", [561, 41041, 3825123056546413051])
+    def test_rejects_pseudoprimes(self, bad):
+        assert not _is_prime(bad)
+        with pytest.raises(ValueError):
+            PrimeModulus(bad)
+
+    @pytest.mark.parametrize("q", [2**61 - 1, 2**64 - 59])
+    def test_accepts_large_primes(self, q):
+        assert PrimeModulus(q).p == q
+
+    def test_rejects_from_the_limit_on(self):
+        # the limit is a strong pseudoprime to all 12 bases: only the bound rejects it
+        assert PRIME_LIMIT == 318665857834031151167461
+        with pytest.raises(ValueError, match="below"):
+            PrimeModulus(PRIME_LIMIT)
+        with pytest.raises(ValueError):
+            _is_prime(PRIME_LIMIT)
 
 
 class TestFpScalar:

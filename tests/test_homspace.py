@@ -240,8 +240,8 @@ class TestShifts:
 
         def patched(good: int):
             # every level but `good` gets identity equations: only 0 is a member there
-            def level(p, a, backend):
-                space = real(p, a, backend)
+            def level(p, a):
+                space = real(p, a)
                 if a == good:
                     return space
                 n = len(space.problem.domain_monomials())
@@ -364,9 +364,9 @@ class TestColumnAssembly:
 
 class TestKernelCertificate:
     def _dropping(self, monkeypatch, call):
-        """Make the given call of `_kernel.rref` (0: the operator's, 1: the
-        basis's, in `hom_space`) lose its last row."""
-        real = homspace._kernel.rref
+        """Make the given call of `rref` (0: the operator's, 1: the basis's,
+        in `hom_space`) lose its last row."""
+        real = homspace.rref
         seen = []
 
         def rref(rows, ncols, p):
@@ -374,7 +374,7 @@ class TestKernelCertificate:
             seen.append(out)
             return out[:-1] if len(seen) == call + 1 else out
 
-        monkeypatch.setattr(homspace._kernel, "rref", rref)
+        monkeypatch.setattr(homspace, "rref", rref)
 
     def test_dropped_equation_is_caught(self, monkeypatch):
         # the basis gains a vector outside the kernel; dim + rank still adds up

@@ -1,4 +1,4 @@
-"""The compiled and pure-Python kernels must be interchangeable.
+"""The row reduction, the packed vectors and the `_kernel` names the benchmark binds.
 
 Includes regression cases for a row-reduction bug where a new pivot row
 was installed without first being cleared against pivots in later
@@ -12,17 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powker import _kernel, homspace
+from powker import _kernel, _pykernel
 from powker._pykernel import pack, slot_width, unpack
 from powker._pykernel import reduce_slice as py_reduce_slice
 from powker._pykernel import rref as py_rref
-from powker.bounds import filtration_table
 from powker.ffpoly import PrimeModulus
-from powker.homspace import FpMatrix, LevelOperator, _ma_problem, ma_space
-
-HAS_C = "c" in _kernel.available()
-
-needs_c = pytest.mark.skipif(not HAS_C, reason="compiled backend not built")
+from powker.homspace import FpMatrix, LevelOperator, _ma_problem
 
 
 def naive_rref(rows, ncols, p):
@@ -186,26 +181,6 @@ class TestPacking:
             assert bound > 256 ** (width - 1)  # whole bytes, no rounding past 8
 
 
-@needs_c
-class TestCompiledParity:
-    @pytest.mark.parametrize("p,ncols,rows", REGRESSIONS)
-    def test_rref_regressions(self, p, ncols, rows):
-        from powker._ckernel import rref as c_rref
-
-        assert c_rref(rows, ncols, p) == naive_rref(rows, ncols, p)
-
-    def test_rref_fuzz(self):
-        from powker._ckernel import rref as c_rref
-
-        rng = random.Random(77)
-        for _ in range(400):
-            p = rng.choice([3, 5, 7, 11, 13])
-            nrows = rng.randrange(1, 8)
-            ncols = rng.randrange(1, 8)
-            rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-            assert c_rref(rows, ncols, p) == py_rref(rows, ncols, p), (p, rows)
-
-
 class TestReduceSliceSemantics:
     def test_division_property(self):
         # reducing the dense vector of x^n by f leaves x^n mod f
@@ -230,9 +205,7 @@ class TestLargeModulus:
     # no longer fit in a signed 64-bit integer
     P = 4294967311
 
-    @pytest.mark.parametrize("name", _kernel.available())
-    def test_rref_matches_naive(self, name, restore_backend):
-        _kernel.use(name)
+    def test_rref_matches_naive(self):
         rows = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
         assert FpMatrix(PrimeModulus(self.P), rows, 3).rank() == 3
         rng = random.Random(2**32)
@@ -240,44 +213,24 @@ class TestLargeModulus:
             nrows = rng.randrange(1, 6)
             ncols = rng.randrange(1, 6)
             rows = [[rng.randrange(self.P) for _ in range(ncols)] for _ in range(nrows)]
-            assert _kernel.rref(rows, ncols, self.P) == naive_rref(rows, ncols, self.P), rows
+            assert py_rref(rows, ncols, self.P) == naive_rref(rows, ncols, self.P), rows
 
 
 class TestBackendSwitch:
+    # `_kernel` re-exports the engine's function objects, so that the
+    # benchmark's rebinding of `_kernel.rref` reaches every call site
     def test_available_names(self):
-        names = _kernel.available()
-        assert "python" in names
-        assert set(names) <= {"c", "python"}
+        assert _kernel.available() == ("python",)
+        assert _kernel.rref is _pykernel.rref
+        assert _kernel.reduce_slice is _pykernel.reduce_slice
 
-    def test_unknown_backend_rejected(self, restore_backend):
-        with pytest.raises(ValueError):
-            _kernel.use("fortran")
+    def test_unknown_backend_rejected(self):
+        for name in ("fortran", "c"):
+            with pytest.raises(ValueError):
+                _kernel.use(name)
 
-    def test_switch_round_trip(self, restore_backend):
+    def test_switch_round_trip(self):
         before = _kernel.use("python")
         assert _kernel.backend() == "python"
         _kernel.use(before)
         assert _kernel.backend() == before
-
-    def test_level_cache_is_per_backend(self, monkeypatch):
-        homspace._level.cache_clear()
-        first = ma_space(PrimeModulus(3), 2)
-        real_backend = _kernel.backend
-        monkeypatch.setattr(_kernel, "backend", lambda: "other")
-        again = ma_space(PrimeModulus(3), 2)
-        assert homspace._level.cache_info().misses == 2
-        assert again == first and again is not first
-        monkeypatch.setattr(_kernel, "backend", real_backend)
-        assert ma_space(PrimeModulus(3), 2) is first
-        assert homspace._level.cache_info().misses == 2
-
-    @needs_c
-    def test_full_pipeline_parity(self, restore_backend):
-        _kernel.use("python")
-        py_space = ma_space(PrimeModulus(5), 2)
-        py_table = filtration_table(PrimeModulus(3), 2).hom_dims()
-        _kernel.use("c")
-        c_space = ma_space(PrimeModulus(5), 2)
-        c_table = filtration_table(PrimeModulus(3), 2).hom_dims()
-        assert py_space.basis == c_space.basis
-        assert py_table == c_table
