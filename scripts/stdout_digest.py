@@ -37,6 +37,8 @@ COMMANDS = (
     ("verify", "--p", "11", "--suite", "shift"),
     ("verify", "--p", "13", "--suite", "all", "--format", "json"),
     ("filtration", "--p", "7", "--a", "4", "--format", "json"),
+    ("ma", "--p", "5", "--a", "9", "--basis", "--format", "json"),
+    ("ma", "--p", "11", "--a", "9", "--basis", "--format", "json"),
 )
 
 

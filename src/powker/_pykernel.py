@@ -1,12 +1,9 @@
 """Pure-Python kernels: `rref`, packed F_p vectors, and the slice reducer `reduce_slice`.
 
 `rref` is the engine's one row reduction; it returns the unique RREF of
-the row space.  Short and square input runs pivot-by-pivot elimination.
-On tall input (more rows than columns, as every level operator is) it
-tracks a basis of the kernel of the rows instead, packed column by
-column, and returns the annihilator of that kernel, which is the same
-RREF.  The engine no longer calls `reduce_slice`; it stays only as the
-name the benchmark's traced pass wraps.
+the row space by pivot-by-pivot elimination, for every shape of input.
+The engine no longer calls `reduce_slice`; it stays only as the name
+the benchmark's traced pass wraps.
 
 A packed vector holds k residues in one int: slot i is entry i, in
 bytes [i * width, (i + 1) * width).  A sum of non-negative multiples of
@@ -115,18 +112,11 @@ def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Nonzero rows of the reduced row echelon form of the given matrix.
 
     The result is the unique RREF of the row space, ordered by pivot
-    column.  Input with more rows than columns goes to `_tall_rref`.
+    column.  Rows are processed in order and reduced against the pivot
+    rows found so far (the pivot for a column is the first row seen with
+    a nonzero entry there); pivot entries are normalized to 1 and their
+    columns cleared everywhere.
     """
-    if len(rows) > ncols:
-        return _tall_rref(rows, ncols, p)
-    return _short_rref(rows, ncols, p)
-
-
-def _short_rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    # Rows are processed in order and reduced against the pivot rows found
-    # so far (the pivot for a column is the first row seen with a nonzero
-    # entry there).  Pivot entries are normalized to 1 and their columns
-    # cleared everywhere.
     pivots: dict[int, list[int]] = {}
     for row in rows:
         r = [v % p for v in row]
@@ -149,53 +139,3 @@ def _short_rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
                 pivots[pc] = [(a - f * b) % p for a, b in zip(prow, r)]
         pivots[lead] = r
     return [pivots[c] for c in sorted(pivots)]
-
-
-def _tall_rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    # Keep a basis of the kernel of the rows seen so far, starting from the
-    # unit vectors, packed column by column: slot j of cols[c] is entry c of
-    # basis vector j, up to a multiple of p.  A row whose products with the
-    # basis all vanish is in the span of the earlier rows and costs one
-    # packed product.  A row with a nonzero product d_i = b_i . row turns
-    # each b_j into b_j - (d_j / d_i) b_i, b_i itself into zero, with one
-    # multiply-add per column; reduction mod p is delayed until the zero
-    # vectors are as many as the others and are dropped.  That happens
-    # after at most ncols / 2 + 1 updates, each of which adds less than
-    # (p - 1)^2 to a slot, so a slot stays below p + ncols (p - 1)^2 and a
-    # product of a reduced row below ncols (p - 1) (p + ncols (p - 1)^2).
-    width = slot_width(ncols * (p - 1) * (p + ncols * (p - 1) ** 2))
-    mask = (1 << 8 * width) - 1
-    size = live = ncols
-    cols = [1 << 8 * width * c for c in range(ncols)]
-    for row in rows:
-        if not live:
-            break
-        s = _dot(row, cols, p)
-        if not s:
-            continue
-        dots = unpack(s, size, width, p)
-        if not any(dots):
-            continue
-        i = next(i for i, v in enumerate(dots) if v)
-        shift = 8 * width * i
-        inv = pow(dots[i], p - 2, p)
-        step = pack([-v * inv % p for v in dots], width)
-        cols = [c + ((c >> shift) & mask) % p * step for c in cols]
-        live -= 1
-        if 2 * live <= size:
-            basis = _kernel_vectors(cols, size, width, p)
-            size = live
-            cols = [pack(col, width) for col in zip(*basis)]
-    basis = _kernel_vectors(cols, size, width, p)
-    # The row space is the annihilator of the kernel.  With the columns
-    # reversed, the kernel's RREF gives annihilator vectors whose last
-    # nonzero entry is a 1 at a free column, zero at the other free
-    # columns; reversed back, those are the RREF rows, last free column
-    # first.
-    flipped = _short_rref([b[::-1] for b in basis], ncols, p)
-    return [v[::-1] for v in reversed(nullspace_rows(flipped, ncols, p))]
-
-
-def _kernel_vectors(cols: list[int], size: int, width: int, p: int) -> list[list[int]]:
-    """The nonzero vectors held in packed columns, reduced mod p."""
-    return [list(v) for v in zip(*(unpack(c, size, width, p) for c in cols)) if any(v)]

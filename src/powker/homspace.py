@@ -13,18 +13,44 @@ listed with the highest x-power first.  The kernel basis is returned in
 reduced echelon form with respect to that monomial order, so it is
 unique and deterministic.
 
-`LevelOperator` holds that map as a matrix over F_p.  Since f is
-homogeneous, each homogeneous slice of P(m) - h*m reduces like a
-polynomial in x modulo f(x, 1), so each column is a sum of rows of the
-remainder table R[e] = x^e mod f(x, 1), built once per divisor; slices
-are summed as packed vectors, and rows are reduced by `rref` (both in
-`powker._pykernel`).  `hom_space` certifies the kernel (dim +
-rank == ncols, and the operator vanishes on the basis), keeps the
-reduced echelon rows of the operator on the space as its `equations`
-(the kernel of a matrix is the kernel of its RREF) and drops the
-operator.
-Membership (`contains` and the shift checks) evaluates those equations
-at m's coordinates and never reads the basis.
+The divisor must split over F_p: f = prod_w (x - w t)^(e_w), which
+every divisor the engine builds does (`HomProblem` recovers the e_w
+from f(1, x) and rejects any other f).  The factors are pairwise
+coprime, so f divides F = P(m) - h*m exactly when each (x - w t)^(e_w)
+does, and the map is never built as a matrix.  Instead, at each weight:
+
+* Put y = x - w t.  Since w^p = w, P(y) = y + y^p, and P(t) = t (1 + tau)
+  with tau = t^(p-1).  Write m in the Taylor-shifted coordinates
+  c^w_k = sum_j C(j, k) w^(j-k) c_j, so m = sum_k c^w_k t^(delta-k) y^k
+  (c^0 = c, the coordinates on the domain basis).
+* y^(e_w) divides F exactly when, for every n < e_w, the coefficient of
+  y^n vanishes; divided by t^(delta-n) that is the identity in t
+
+      sum over s >= 0, k = n - s(p-1) with 0 <= k <= x_bound of
+          C(k, s) c^w_k tau^s (1 + tau)^(delta-k)  ==  c^w_n h(t)
+
+  (c^w_n = 0 for n > x_bound).  Each identity gives one scalar equation
+  per power of t, and (1 + tau)^N is expanded from the base-p digits of
+  N (Lucas), once per N and level.
+* The identity for n involves only the c^w_k with k = n mod p - 1, so each
+  (w, residue class) system is row-reduced on its own, stopping once it
+  has a pivot for every unknown.  Its reduced rows are mapped back to
+  the domain coordinates through the Taylor shift; stacked, they number
+  at most min(e_w, x_bound + 1) per weight, so at most d.
+
+For a < p every identity has only its s = 0 term, and delta - epsilon =
+a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
+space is {m : D^n m(1, x) vanishes at x = w for each weight w and each
+n < e_w with n != a - 2}, D^n the n-th Hasse derivative: a Birkhoff
+interpolation problem.
+
+`hom_space` row-reduces the stacked rows (`rref` in `powker._pykernel`;
+the kernel of a matrix is the kernel of its RREF, which is unique, so the
+equations do not depend on how they were derived), reads the kernel
+basis off the RREF, and certifies it: dim + rank == ncols, and every
+stacked row vanishes on every basis vector.  It keeps the RREF rows as
+the space's `equations`.  Membership (`contains` and the shift checks)
+evaluates those equations at m's coordinates and never reads the basis.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -42,11 +68,12 @@ membership guarantees as they go.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
+from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
 from .reps import f_of, filtration_rep, r_poly
@@ -55,7 +82,6 @@ from .steenrod import SplitPoly, h_poly, parameters, q_of_split
 __all__ = [
     "HomProblem",
     "HomSpace",
-    "LevelOperator",
     "FpMatrix",
     "hom_space",
     "ma_space",
@@ -71,12 +97,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomProblem:
-    """Input data for one kernel computation."""
+    """Input data for one kernel computation.
+
+    f must split into linear forms over F_p; `roots` holds (w, e_w) for
+    each root w of f(1, x), ascending, so that f = prod (x - w t)^e_w.
+    """
 
     p: PrimeModulus
     f: BiPoly
     delta: int
     h: BiPoly
+    roots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.modulus != self.p or self.h.modulus != self.p:
@@ -91,6 +122,7 @@ class HomProblem:
             raise ValueError("h must be a polynomial in t alone")
         if not self.h.coefficient(0, 0):
             raise ValueError("h must have nonzero constant term")
+        object.__setattr__(self, "roots", _roots(self.f))
 
     def x_bound(self) -> int:
         """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
@@ -121,21 +153,32 @@ class HomProblem:
         return vec
 
 
-class LevelOperator:
-    """The map m -> (P(m) - h*m) mod f of a `HomProblem`, as a matrix over F_p.
+def _roots(f: BiPoly) -> tuple[tuple[int, int], ...]:
+    """(w, e_w) for each root w of f(1, x) in F_p, ascending, by synthetic division.
 
-    Column c belongs to the domain monomial `domain[c]`.  Row k belongs
-    to the remainder monomial `keys[k]` (a (t-exp, x-exp) pair); rows
-    are the monomials with a nonzero entry in some column, highest
-    x-power first, then highest t-power.  Entries lie in [0, p).
+    f is homogeneous and monic in x, so f = prod (x - w t)^e_w exactly
+    when these multiplicities add up to deg_x f; otherwise ValueError.
     """
-
-    __slots__ = ("problem", "domain", "keys", "rows")
-
-    def __init__(self, problem: HomProblem):
-        self.problem = problem
-        self.domain = problem.domain_monomials()
-        self.keys, self.rows = _graded_rows(problem, self.domain)
+    p = f.modulus.p
+    coeffs = [0] * (f.x_degree() + 1)  # f(1, x), highest power first
+    for _i, j, c in f.iterterms():
+        coeffs[-1 - j] = c
+    roots = []
+    for w in range(p):
+        e = 0
+        while len(coeffs) > 1:
+            acc, quotient = 0, []
+            for c in coeffs:
+                acc = (acc * w + c) % p
+                quotient.append(acc)
+            if quotient.pop():
+                break
+            coeffs, e = quotient, e + 1
+        if e:
+            roots.append((w, e))
+        if len(coeffs) == 1:
+            return tuple(roots)
+    raise ValueError("f must split into linear factors x - w*t over F_p")
 
 
 @dataclass(frozen=True)
@@ -194,91 +237,109 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _remainder_table(f: BiPoly, top: int) -> list[list[int]]:
-    """Rows R[e] = x^e mod f(x, 1) for e = 0 .. top, as coefficient lists of length deg_x f.
+def _tau_powers(n: int, p: int) -> list[tuple[int, int]]:
+    """The terms (i, C(n, i) mod p) of (1 + tau)^n, all nonzero.
 
-    f must be homogeneous and monic in x.
+    By Lucas' theorem (1 + tau)^n is the product over the base-p digits
+    n_l of n of (1 + tau^(p^l))^(n_l), and no C(n_l, i_l) vanishes mod p.
     """
-    p = f.modulus.p
-    d = f.x_degree()
-    # x^d == low(x) mod f(x, 1), where low is minus the lower part of f
-    low = [0] * d
-    for _i, j, c in f.iterterms():
-        if j < d:
-            low[j] = p - c
-    table = [[int(k == e) for k in range(d)] for e in range(min(d, top + 1))]
-    row = low
-    for _e in range(d, top + 1):
-        table.append(row)
-        lead = row[-1]
-        row = [0] + row[:-1]
-        if lead:
-            row = [(a + lead * b) % p for a, b in zip(row, low)]
-    return table
+    terms = [(0, 1)]
+    place = 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            terms = [
+                (i + k * place, c * binom_mod(digit, k, p) % p)
+                for i, c in terms
+                for k in range(digit + 1)
+            ]
+        place *= p
+    return terms
 
 
-def _graded_rows(problem: HomProblem, domain: tuple) -> tuple[list, list]:
-    # The slice of degree delta + g of each column is a sum of
-    # remainder-table rows, accumulated as packed vectors and unpacked
-    # (reduced mod p) once.  A slot of a slice sums at most x_bound + 1
-    # terms C(i, s) C(j, t) R[e][k], one per split g = (s + t)(p - 1) with
-    # t <= j, each below p^2 because the binomial product is reduced mod p
-    # first (unreduced it would reach p^3), plus one twist term below p.
-    # Rows come out in the operator's key order directly.
+def _level_rows(problem: HomProblem) -> list[list[int]]:
+    """Rows over the domain basis whose common kernel is the kernel of the level map.
+
+    One reduced local system per weight w and residue class rho mod p - 1,
+    mapped back through the Taylor shift: at most min(e_w, x_bound + 1)
+    rows per weight, so at most deg_x f rows in all.
+    """
     p = problem.p.p
-    shift = p - 1
-    d = problem.f.x_degree()
-    ncols = len(domain)
+    q = p - 1
     top = problem.x_bound()
-    width = slot_width((top + 1) * (p - 1) ** 2 + p)
-    table = [pack(row, width) for row in _remainder_table(problem.f, top * p)]
-    # -h*m adds -c at x^j in slice g for each term c*t^g of h; p - c keeps slots non-negative
-    twist = [(g, p - c) for g, _j, c in problem.h.iterterms()]
-    zero = [0] * d
-    slices: dict[int, list[list[int]]] = {}  # g -> reduced vector per column
-    for col, (i, j) in enumerate(domain):
-        bin_i = [(s * shift, c) for s in range(i + 1) if (c := binom_mod(i, s, p))]
-        acc: dict[int, int] = {}
-        for t in range(j + 1):
-            ct = binom_mod(j, t, p)
-            if not ct:
+    # binom[j][k] = C(j, k) mod p for j, k <= top, zero for k > j
+    binom = [[1] + [0] * top]
+    for _ in range(top):
+        prev = binom[-1]
+        binom.append([1] + [(a + b) % p for a, b in zip(prev[1:], prev)])
+    twist = [(g, c) for g, _j, c in problem.h.iterterms()]
+    expansions: dict[int, list[tuple[int, int]]] = {}  # N -> terms of (1 + tau)^N
+    rows = []
+    for w, e in problem.roots:
+        wpow = [pow(w, i, p) for i in range(top + 1)]
+        for rho in range(min(e, q)):
+            # the unknowns c^w_k, k = rho + idx * q <= min(e - 1, top)
+            size = len(range(rho, min(e - 1, top) + 1, q))
+            if not size:
                 continue
-            rem = table[j + t * shift]
-            for gs, cs in bin_i:
-                g = gs + t * shift
-                acc[g] = acc.get(g, 0) + cs * ct % p * rem
+            local: list[list[int]] = []
+            for n in range(rho, e, q):
+                fresh = _identity_rows(problem, n, rho, size, binom, twist, expansions)
+                local = rref(local + fresh, size, p)
+                if len(local) == size:
+                    break
+            # c^w_k = sum_j C(j, k) w^(j - k) c_j, and domain column top - j holds c_j
+            for r in local:
+                out = [0] * (top + 1)
+                for idx, v in enumerate(r):
+                    if v:
+                        k = rho + idx * q
+                        for j in range(k, top + 1):
+                            out[j] += v * binom[j][k] * wpow[j - k]
+                rows.append([v % p for v in reversed(out)])
+    return rows
+
+
+def _identity_rows(problem, n, rho, size, binom, twist, expansions) -> list[tuple[int, ...]]:
+    """The identity for the coefficient of y^n at one weight, one row per power of t.
+
+    Entry idx of a row belongs to c^w_k, k = rho + idx * (p - 1); entries
+    are reduced mod p, and zero and repeated rows are dropped.
+    """
+    p = problem.p.p
+    q = p - 1
+    delta = problem.delta
+    eqs: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)  # t-exponent -> row
+    for idx in range(min((n - rho) // q + 1, size)):
+        k = rho + idx * q
+        s = (n - k) // q
+        ck = binom[k][s] if s <= k else 0
+        if not ck:
+            continue
+        terms = expansions.get(delta - k)
+        if terms is None:
+            terms = expansions[delta - k] = _tau_powers(delta - k, p)
+        for i, c in terms:
+            eqs[(s + i) * q][idx] += ck * c
+    if n <= problem.x_bound():
         for g, c in twist:
-            # R[j] is x^j itself, since j < d
-            acc[g] = acc.get(g, 0) + c * table[j]
-        for g, w in acc.items():
-            if g not in slices:
-                slices[g] = [zero] * ncols
-            slices[g][col] = unpack(w, d, width, p)
-    del table
-    order = sorted(slices, reverse=True)
-    # by_x[g][e] is the row of remainder monomial (delta + g - e, e), or
-    # None when it is zero; each slice is freed once transposed
-    by_x = {g: [list(r) if any(r) else None for r in zip(*slices.pop(g))] for g in order}
-    keys, rows = [], []
-    for e in range(d - 1, -1, -1):
-        for g in order:
-            row = by_x[g][e]
-            if row is not None:
-                keys.append((problem.delta + g - e, e))
-                rows.append(row)
-    return keys, rows
+            eqs[g][(n - rho) // q] -= c
+    fresh = {tuple(v % p for v in eq) for eq in eqs.values()}
+    fresh.discard((0,) * size)
+    return list(fresh)
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis.
 
     The result is certified: the dimension and the rank add up to the
-    number of columns, and the operator maps every basis vector to zero.
+    number of columns, and every row of the local systems, mapped back to
+    the domain, vanishes on every basis vector.
     """
     p = problem.p.p
     domain = problem.domain_monomials()
     ncols = len(domain)
-    rows = LevelOperator(problem).rows
+    rows = _level_rows(problem)
     equations = rref(rows, ncols, p)
     vectors = _nullspace(equations, ncols, p)
     if len(vectors) + len(equations) != ncols:

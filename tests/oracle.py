@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch on plain dicts and
 lists, with no imports from the package under test: substitution-based
 power operation, repeated-multiplication powers, long division in x,
-and a textbook forward elimination for the nullity.  Slow and simple on
+and textbook Gauss-Jordan elimination for the nullity and the row space.  Slow and simple on
 purpose; the engine must agree with it, not the other way around.
 """
 
@@ -86,10 +86,9 @@ def divmod_x(num, den, p):
             rem = padd(rem, pscale(pmul(mono, den, p), p - 1, p), p)
 
 
-def nullity(rows, ncols, p):
-    """Textbook forward elimination; nullity = ncols - number of pivots."""
+def echelon(rows, ncols, p):
+    """Textbook Gauss-Jordan elimination: the nonzero rows of the reduced row echelon form."""
     mat = [list(r) for r in rows]
-    rank = 0
     col = 0
     row = 0
     while row < len(mat) and col < ncols:
@@ -104,10 +103,14 @@ def nullity(rows, ncols, p):
             if r != row and mat[r][col] % p:
                 f = mat[r][col]
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
-        rank += 1
         row += 1
         col += 1
-    return ncols - rank
+    return mat[:row]
+
+
+def nullity(rows, ncols, p):
+    """ncols minus the number of pivots."""
+    return ncols - len(echelon(rows, ncols, p))
 
 
 def linear_form(w, p):
@@ -139,17 +142,33 @@ def reduced_columns(p, f, delta, h):
     return cols
 
 
-def kernel_nullity(p, f, delta, h):
-    """Nullity of m -> (P(m) - h*m) mod f on degree-delta monomials."""
+def operator_rows(p, f, delta, h):
+    """The matrix of m -> (P(m) - h*m) mod f and its number of columns: one row per
+    remainder monomial, sorted, one column per domain monomial as `reduced_columns` lists them."""
     cols = reduced_columns(p, f, delta, h)
     keys = sorted(set().union(*cols))
-    rows = [[col.get(k, 0) for col in cols] for k in keys]
-    return nullity(rows, len(cols), p)
+    return [[col.get(k, 0) for col in cols] for k in keys], len(cols)
+
+
+def kernel_nullity(p, f, delta, h):
+    """Nullity of m -> (P(m) - h*m) mod f on degree-delta monomials."""
+    return nullity(*operator_rows(p, f, delta, h), p)
+
+
+def row_space(p, f, delta, h):
+    """The reduced row echelon form of `operator_rows`: unique, so any matrix with
+    the same kernel on the domain has it as its RREF."""
+    return tuple(tuple(r) for r in echelon(*operator_rows(p, f, delta, h), p))
+
+
+def level_problem(p, a):
+    """(f, delta, h) of the level-a kernel space."""
+    epsilon = (2 * a - 1) * (p - 1) // 2
+    delta = p * a - (p + 3) // 2
+    h = ppow({(0, 0): 1, (p - 1, 0): 1}, epsilon, p)
+    return level_divisor(p, a), delta, h
 
 
 def m_nullity(p, a):
     """Dimension of the level-a kernel space, computed the slow way."""
-    epsilon = (2 * a - 1) * (p - 1) // 2
-    delta = p * a - (p + 3) // 2
-    h = ppow({(0, 0): 1, (p - 1, 0): 1}, epsilon, p)
-    return kernel_nullity(p, level_divisor(p, a), delta, h)
+    return kernel_nullity(p, *level_problem(p, a))

@@ -81,19 +81,19 @@ class TestVerify:
     def test_each_level_built_once(self, capsys, monkeypatch):
         levels = []
         builds = []
-        real_f_of, real_graded_rows = homspace.f_of, homspace._graded_rows
+        real_f_of, real_level_rows = homspace.f_of, homspace._level_rows
 
         def counting_f_of(rep):
             levels.append(len(rep.weights))
             return real_f_of(rep)
 
-        def counting_graded_rows(problem, domain):
+        def counting_level_rows(problem):
             builds.append(problem.f.x_degree())
-            return real_graded_rows(problem, domain)
+            return real_level_rows(problem)
 
         homspace._level.cache_clear()
         monkeypatch.setattr(homspace, "f_of", counting_f_of)
-        monkeypatch.setattr(homspace, "_graded_rows", counting_graded_rows)
+        monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
         assert code == 0
         # the level-a divisor has (a - 1) * p + (p + 1) / 2 weights

@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kernel_nullity, m_nullity, reduced_columns
+from oracle import kernel_nullity, m_nullity, row_space
 from powker import homspace
 from powker.errors import ConsistencyError
 from powker.ffpoly import BiPoly, PrimeModulus, is_divisible
@@ -14,7 +14,6 @@ from powker.homspace import (
     FpMatrix,
     HomProblem,
     HomSpace,
-    LevelOperator,
     contains,
     div_r_shift,
     family_element,
@@ -25,7 +24,7 @@ from powker.homspace import (
     verify_qr_identity,
     verify_substitution_identity,
 )
-from powker.reps import f_of, filtration_rep, r_poly
+from powker.reps import Representation, f_of, filtration_rep, r_poly
 from powker.steenrod import h_poly, parameters, total_power
 
 P3 = PrimeModulus(3)
@@ -47,6 +46,19 @@ class TestHomProblem:
             HomProblem(P3, r, 3, BiPoly.tau(P3))  # twist needs a constant term
         with pytest.raises(ValueError):
             HomProblem(P3, r_poly(P5), 3, h)
+
+    def test_rejects_divisor_that_does_not_split(self):
+        # 2 is not a square mod 5, so x^2 - 2t^2 has no linear factor over F_5
+        with pytest.raises(ValueError, match="split"):
+            HomProblem(P5, BiPoly(P5, {(0, 2): 1, (2, 0): -2}), 3, h_poly(P5, 2))
+        # x^2 - 4t^2 = (x - 2t)(x - 3t) splits
+        prob = HomProblem(P5, BiPoly(P5, {(0, 2): 1, (2, 0): -4}), 3, h_poly(P5, 2))
+        assert prob.roots == ((2, 1), (3, 1))
+
+    def test_roots_carry_multiplicities(self):
+        prob = HomProblem(P3, f_of(filtration_rep(P3, 3, 2)), 4, h_poly(P3, 3))
+        assert prob.roots == ((0, 3), (1, 3), (2, 2))
+        assert HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2)).roots == ()
 
     def test_domain_order_and_truncation(self):
         # delta below the divisor degree: no truncation
@@ -305,16 +317,9 @@ def _as_dict(m: BiPoly) -> dict:
     return {(i, j): c for i, j, c in m.iterterms()}
 
 
-def _operator_columns(op: LevelOperator) -> list[dict]:
-    """The operator's column at each domain monomial, as a coefficient map."""
-    return [
-        {key: row[col] for key, row in zip(op.keys, op.rows) if row[col]}
-        for col in range(len(op.domain))
-    ]
-
-
-def _oracle_columns(prob: HomProblem) -> list[dict]:
-    return reduced_columns(prob.p.p, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
+def _oracle_equations(prob: HomProblem) -> tuple:
+    """The RREF of the oracle's operator matrix, for comparison with `HomSpace.equations`."""
+    return row_space(prob.p.p, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
 
 
 class TestColumnAssembly:
@@ -324,17 +329,17 @@ class TestColumnAssembly:
     def test_operator_matches_generic(self, q, a, k):
         mod = PrimeModulus(q)
         prob = HomProblem(mod, f_of(filtration_rep(mod, a, k)), parameters(mod, a).delta, h_poly(mod, a))
-        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+        assert hom_space(prob).equations == _oracle_equations(prob)
 
     def test_inhomogeneous_divisor_uses_generic_path(self):
         # there is no generic division path: an inhomogeneous divisor is refused
         h = h_poly(P3, 2)
         with pytest.raises(ValueError, match="homogeneous"):
             HomProblem(P3, BiPoly(P3, {(0, 3): 1, (1, 0): -1}), 3, h)  # x^3 - t
-        # its homogenisation goes through the level operator and agrees with the oracle
+        # its homogenisation (x - t)^3 goes through the local systems and agrees with the oracle
         prob = HomProblem(P3, BiPoly(P3, {(0, 3): 1, (3, 0): -1}), 3, h)  # x^3 - t^3
         space = hom_space(prob)
-        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+        assert space.equations == _oracle_equations(prob)
         for b in space.basis:
             assert contains(space, b)
         # one more domain monomial on top of a basis element leaves the kernel
@@ -345,13 +350,15 @@ class TestColumnAssembly:
             assert not contains(space, m)
 
     def test_large_prime_cubic_divisor(self):
-        # at p = 257 a slot of the packed slice sums needs 3 bytes
+        # at p = 257 a residue needs more than one byte, and so do the
+        # slots of the certificate's packed products
         mod = PrimeModulus(257)
         f = BiPoly.one(mod)
         for w in (1, 2, 5):
             f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
         prob = HomProblem(mod, f, 4, BiPoly(mod, {(0, 0): 1, (256, 0): 3}))
-        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
+        assert prob.roots == ((1, 1), (2, 1), (5, 1))
+        assert hom_space(prob).equations == _oracle_equations(prob)
 
     def test_empty_domain_contains_only_zero(self):
         prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
@@ -364,13 +371,17 @@ class TestColumnAssembly:
 
 class TestKernelCertificate:
     def _dropping(self, monkeypatch, call):
-        """Make the given call of `rref` (0: the operator's, 1: the basis's,
-        in `hom_space`) lose its last row."""
+        """Make the given global elimination in `hom_space` (0: the stacked
+        local rows', 1: the basis's) lose its last row.  The local systems'
+        eliminations, which have fewer columns than the domain, are left alone."""
         real = homspace.rref
+        domain = len(homspace._ma_problem(P5, 2).domain_monomials())
         seen = []
 
         def rref(rows, ncols, p):
             out = real(rows, ncols, p)
+            if ncols < domain:
+                return out
             seen.append(out)
             return out[:-1] if len(seen) == call + 1 else out
 
@@ -408,8 +419,8 @@ class TestOperatorProperties:
     @given(prob=_divisor_problems(), seed=st.integers(0, 2**32 - 1))
     def test_random_divisors(self, prob, seed):
         q = prob.p.p
-        assert _operator_columns(LevelOperator(prob)) == _oracle_columns(prob)
         space = hom_space(prob)
+        assert space.equations == _oracle_equations(prob)
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
 
         def divides(m):
@@ -423,6 +434,38 @@ class TestOperatorProperties:
             assert not contains(space, m) and not divides(m)
 
 
+@st.composite
+def _split_problems(draw):
+    """Random split divisors prod (x - w t)^e_w with e_w up to p + 1, so that
+    the identities couple c^w_k across k (the s >= 1 terms); delta from 0, so
+    that the domain is often cut below deg_x f; and random twists, some with
+    t-exponents that p - 1 does not divide."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    mod = PrimeModulus(q)
+    weights = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3, unique=True))
+    mults = [draw(st.integers(1, q + 1)) for _ in weights]
+    f = f_of(Representation(mod, tuple(w for w, e in zip(weights, mults) for _ in range(e))))
+    delta = draw(st.integers(0, f.x_degree() + q))
+    terms = draw(st.dictionaries(st.integers(1, 3 * q), st.integers(0, q - 1), max_size=3))
+    terms[0] = draw(st.integers(1, q - 1))
+    h = BiPoly(mod, {(g, 0): c for g, c in terms.items()})
+    return HomProblem(mod, f, delta, h)
+
+
+class TestWeightLocalSystems:
+    # (x - t)^4 at p = 3 and x^6 at p = 5: the identity for n = p couples
+    # c^w_p with c^w_1 through its s = 1 term
+    @example(prob=HomProblem(P3, BiPoly(P3, {(0, 1): 1, (1, 0): -1}) ** 4, 1, BiPoly.one(P3)))
+    @example(prob=HomProblem(P5, BiPoly.x(P5) ** 6, 2, BiPoly(P5, {(0, 0): 1, (4, 0): 1})))
+    @settings(max_examples=60, deadline=None)
+    @given(prob=_split_problems())
+    def test_equations_match_oracle(self, prob):
+        f, h = _as_dict(prob.f), _as_dict(prob.h)
+        space = hom_space(prob)
+        assert space.equations == _oracle_equations(prob)
+        assert space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
+
+
 class TestOracleAgreement:
     # every level with p*a <= 21 is acceptance criterion 7; these go on to 30
     @pytest.mark.parametrize(
@@ -432,7 +475,8 @@ class TestOracleAgreement:
     def test_level_dims(self, q, a):
         assert ma_space(PrimeModulus(q), a).dim == m_nullity(q, a)
 
-    @pytest.mark.parametrize("q,a,k", [(3, 2, 0), (3, 2, 3), (5, 2, 4)])
+    # (3, 3, 2) and (5, 5, 3) have a >= p, where the local systems couple
+    @pytest.mark.parametrize("q,a,k", [(3, 2, 0), (3, 2, 3), (5, 2, 4), (3, 3, 2), (5, 5, 3)])
     def test_flag_dims(self, q, a, k):
         mod = PrimeModulus(q)
         pars = parameters(mod, a)

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import level_problem, operator_rows
 from powker import _kernel, _pykernel
 from powker._pykernel import pack, slot_width, unpack
 from powker._pykernel import reduce_slice as py_reduce_slice
 from powker._pykernel import rref as py_rref
 from powker.ffpoly import PrimeModulus
-from powker.homspace import FpMatrix, LevelOperator, _ma_problem
+from powker.homspace import FpMatrix
 
 
 def naive_rref(rows, ncols, p):
@@ -118,7 +119,7 @@ def _low_rank_tall(rng, p, ncols):
 
 
 class TestTallRref:
-    # more rows than columns: the kernel-tracking path
+    # more rows than columns
     @pytest.mark.parametrize("p", [3, 5, 13, 2**32 + 15])
     def test_fuzz_against_naive(self, p):
         rng = random.Random(p)
@@ -130,11 +131,10 @@ class TestTallRref:
 
     @pytest.mark.parametrize("q,a", [(5, 4), (7, 3), (11, 2)])
     def test_level_operators(self, q, a):
-        prob = _ma_problem(PrimeModulus(q), a)
-        op = LevelOperator(prob)
-        ncols = len(op.domain)
-        assert len(op.rows) > ncols
-        assert py_rref(op.rows, ncols, q) == naive_rref(op.rows, ncols, q)
+        # the full remainder operator of a level, computed by the oracle
+        rows, ncols = operator_rows(q, *level_problem(q, a))
+        assert len(rows) > ncols
+        assert py_rref(rows, ncols, q) == naive_rref(rows, ncols, q)
 
     @given(seed=st.integers(0, 2**32 - 1), order=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -179,6 +179,31 @@ class TestPacking:
         assert unpack(pack([bound - 1], width), 1, width, bound) == [bound - 1]
         if width > 8:
             assert bound > 256 ** (width - 1)  # whole bytes, no rounding past 8
+
+
+class TestAnnihilates:
+    def test_row_entries_are_reduced(self):
+        # rows may hold entries outside [0, p), negative ones included
+        vectors = [[1, 2, 0], [0, 1, 1]]  # orthogonal mod 5 to (3, 1, 4) and its multiples
+        assert _pykernel.annihilates([[-2, 6, -11], [0, 5, -10]], vectors, 3, 5)
+        assert not _pykernel.annihilates([[-2, 6, -11], [1, 0, 0]], vectors, 3, 5)
+        assert not _pykernel.annihilates([[-4, 0, 0]], vectors, 3, 5)
+
+    def test_fuzz_against_products(self):
+        # rows from the annihilator of the vectors, shifted by multiples of p,
+        # and in half the cases one entry nudged off it
+        rng = random.Random(97)
+        for _ in range(200):
+            p = rng.choice([3, 5, 13, 2**32 + 15])
+            ncols = rng.randrange(2, 6)
+            vectors = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randrange(1, ncols))]
+            dual = _pykernel.nullspace_rows(naive_rref(vectors, ncols, p), ncols, p)
+            scale = rng.randrange(1, p)
+            rows = [[v * scale + p * rng.randrange(-2, 3) for v in row] for row in dual]
+            if rng.random() < 0.5:
+                rows[0][rng.randrange(ncols)] += 1
+            expect = all(sum(a * b for a, b in zip(r, v)) % p == 0 for r in rows for v in vectors)
+            assert _pykernel.annihilates(rows, vectors, ncols, p) == expect
 
 
 class TestReduceSliceSemantics:
