@@ -1,9 +1,9 @@
 """Pure-Python kernels: `rref`, packed F_p vectors, and the slice reducer `reduce_slice`.
 
 `rref` is the engine's one row reduction; it returns the unique RREF of
-the row space by pivot-by-pivot elimination, for every shape of input.
-The engine no longer calls `reduce_slice`; it stays only as the name
-the benchmark's traced pass wraps.
+the row space by Gauss-Jordan elimination on packed rows, for every
+shape of input.  The engine no longer calls `reduce_slice`; it stays
+only as the name the benchmark's traced pass wraps.
 
 A packed vector holds k residues in one int: slot i is entry i, in
 bytes [i * width, (i + 1) * width).  A sum of non-negative multiples of
@@ -112,30 +112,42 @@ def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Nonzero rows of the reduced row echelon form of the given matrix.
 
     The result is the unique RREF of the row space, ordered by pivot
-    column.  Rows are processed in order and reduced against the pivot
-    rows found so far (the pivot for a column is the first row seen with
-    a nonzero entry there); pivot entries are normalized to 1 and their
-    columns cleared everywhere.
+    column.  Rows are processed in order; the pivot for a column is the
+    first row seen with a nonzero entry there.  Pivot rows are kept
+    packed, with slots not reduced mod p, but congruent to 1 at their
+    own pivot column and to 0 at every other one.  So an incoming row r
+    is cleared of every pivot column by the one combination
+    pack(r) + sum (p - r[c]) * P_c over the pivots P_c, and a new pivot
+    row, normalized to 1 at its lead, is folded into each older pivot
+    row with one multiply-add.  Elimination stops once every column has
+    a pivot.
     """
-    pivots: dict[int, list[int]] = {}
+    # A pivot row starts below p and gains at most (p - 1) * (p - 1) per
+    # slot in each of at most ncols folds; an incoming combination adds
+    # at most ncols multiples of at most p - 1 of those.
+    bound = p + ncols * (p - 1) ** 2
+    width = slot_width(p + ncols * (p - 1) * bound)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    pivots: dict[int, int] = {}  # pivot column -> packed pivot row
     for row in rows:
         r = [v % p for v in row]
-        # Clear every existing pivot column from the incoming row.  Pivot
-        # rows hold zeros at each other's pivot columns, so the subtraction
-        # order does not matter.
-        for c, pr in pivots.items():
-            v = r[c]
-            if v:
-                r = [(a - v * b) % p for a, b in zip(r, pr)]
+        clear = [(p - r[c]) * pr for c, pr in pivots.items() if r[c]]
+        if clear:
+            r = unpack(pack(r, width) + sum(clear), ncols, width, p)
         lead = next((c for c in range(ncols) if r[c]), None)
         if lead is None:
             continue
         if r[lead] != 1:
             inv = pow(r[lead], p - 2, p)
             r = [a * inv % p for a in r]
-        for pc, prow in pivots.items():
-            f = prow[lead]
+        new = pack(r, width)
+        shift = lead * bits
+        for c, pr in pivots.items():
+            f = (pr >> shift & mask) % p
             if f:
-                pivots[pc] = [(a - f * b) % p for a, b in zip(prow, r)]
-        pivots[lead] = r
-    return [pivots[c] for c in sorted(pivots)]
+                pivots[c] = pr + (p - f) * new
+        pivots[lead] = new
+        if len(pivots) == ncols:
+            break
+    return [unpack(pivots[c], ncols, width, p) for c in sorted(pivots)]

@@ -17,7 +17,6 @@ report content is deterministic and independent of the worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
@@ -253,6 +252,8 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:
+        import concurrent.futures  # only a parallel sweep pays for the pool's imports
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             longest_first = sorted(pairs, key=_pair_cost, reverse=True)
             done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))

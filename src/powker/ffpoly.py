@@ -139,30 +139,26 @@ class FpScalar:
 
 
 @lru_cache(maxsize=None)
-def _pascal_rows(p: int) -> tuple:
-    # rows n = 0 .. p-1 of Pascal's triangle reduced mod p
-    rows = [(1,)]
-    for n in range(1, p):
-        prev = rows[-1]
-        row = [1]
-        for k in range(1, n):
-            row.append((prev[k - 1] + prev[k]) % p)
-        row.append(1)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _binom_digit(n: int, k: int, p: int) -> int:
+    """C(n, k) mod p for base-p digits 0 <= k <= n < p, where k! is invertible mod p."""
+    k = min(k, n - k)
+    num = den = 1
+    for j in range(1, k + 1):
+        num = num * (n - k + j) % p
+        den = den * j % p
+    return num * pow(den, -1, p) % p
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
     """Binomial coefficient C(n, k) mod p via base-p digits (Lucas)."""
     if k < 0 or k > n:
         return 0
-    rows = _pascal_rows(p)
     out = 1
-    while n or k:
+    while k:  # the digits of n above those of k contribute C(n_l, 0) = 1
         nd, kd = n % p, k % p
         if kd > nd:
             return 0
-        out = out * rows[nd][kd] % p
+        out = out * _binom_digit(nd, kd, p) % p
         n //= p
         k //= p
     return out

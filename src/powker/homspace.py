@@ -34,9 +34,11 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   N (Lucas), once per N and level.
 * The identity for n involves only the c^w_k with k = n mod p - 1, so each
   (w, residue class) system is row-reduced on its own, stopping once it
-  has a pivot for every unknown.  Its reduced rows are mapped back to
-  the domain coordinates through the Taylor shift; stacked, they number
-  at most min(e_w, x_bound + 1) per weight, so at most d.
+  has a pivot for every unknown.  Nothing in it depends on w beyond e_w,
+  so weights of equal multiplicity share one reduced system.  Its
+  reduced rows are mapped back to the domain coordinates through each
+  weight's Taylor shift; stacked, they number at most
+  min(e_w, x_bound + 1) per weight, so at most d.
 
 For a < p every identity has only its s = 0 term, and delta - epsilon =
 a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
@@ -44,10 +46,10 @@ space is {m : D^n m(1, x) vanishes at x = w for each weight w and each
 n < e_w with n != a - 2}, D^n the n-th Hasse derivative: a Birkhoff
 interpolation problem.
 
-`hom_space` row-reduces the stacked rows (`rref` in `powker._pykernel`;
-the kernel of a matrix is the kernel of its RREF, which is unique, so the
-equations do not depend on how they were derived), reads the kernel
-basis off the RREF, and certifies it: dim + rank == ncols, and every
+`hom_space` row-reduces the stacked rows (the packed `rref` in
+`powker._pykernel`; the kernel of a matrix is the kernel of its RREF,
+which is unique, so the equations do not depend on how they were
+derived), reads the kernel basis off the RREF, and certifies it: dim + rank == ncols, and every
 stacked row vanishes on every basis vector.  It keeps the RREF rows as
 the space's `equations`.  Membership (`contains` and the shift checks)
 evaluates those equations at m's coordinates and never reads the basis.
@@ -262,7 +264,9 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
 
     One reduced local system per weight w and residue class rho mod p - 1,
     mapped back through the Taylor shift: at most min(e_w, x_bound + 1)
-    rows per weight, so at most deg_x f rows in all.
+    rows per weight, so at most deg_x f rows in all.  In the Taylor
+    coordinates a local system does not depend on w, only on e_w and rho,
+    so each one is reduced once per level.
     """
     p = problem.p.p
     q = p - 1
@@ -274,6 +278,7 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
         binom.append([1] + [(a + b) % p for a, b in zip(prev[1:], prev)])
     twist = [(g, c) for g, _j, c in problem.h.iterterms()]
     expansions: dict[int, list[tuple[int, int]]] = {}  # N -> terms of (1 + tau)^N
+    systems: dict[tuple[int, int], list[list[int]]] = {}  # (e_w, rho) -> reduced local rows
     rows = []
     for w, e in problem.roots:
         wpow = [pow(w, i, p) for i in range(top + 1)]
@@ -282,12 +287,15 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
             size = len(range(rho, min(e - 1, top) + 1, q))
             if not size:
                 continue
-            local: list[list[int]] = []
-            for n in range(rho, e, q):
-                fresh = _identity_rows(problem, n, rho, size, binom, twist, expansions)
-                local = rref(local + fresh, size, p)
-                if len(local) == size:
-                    break
+            local = systems.get((e, rho))
+            if local is None:
+                local = []
+                for n in range(rho, e, q):
+                    fresh = _identity_rows(problem, n, rho, size, binom, twist, expansions)
+                    local = rref(local + fresh, size, p)
+                    if len(local) == size:
+                        break
+                systems[e, rho] = local
             # c^w_k = sum_j C(j, k) w^(j - k) c_j, and domain column top - j holds c_j
             for r in local:
                 out = [0] * (top + 1)

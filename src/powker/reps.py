@@ -60,11 +60,13 @@ class Representation:
 
 def f_of(v: Representation) -> BiPoly:
     """The split polynomial prod_w (x - w*t), monic in x of degree dim."""
-    mod = v.modulus
-    out = BiPoly.one(mod)
+    p = v.modulus.p
+    # coeffs[j] is the scalar of t^j x^(n-j) in the product of the first n factors
+    coeffs = [1]
     for w in v.weights:
-        out = out * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
-    return out
+        coeffs = [(a - w * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    n = len(coeffs) - 1
+    return BiPoly(v.modulus, {(j, n - j): c for j, c in enumerate(coeffs)})
 
 
 def r_poly(p: PrimeModulus) -> BiPoly:

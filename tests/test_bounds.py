@@ -3,9 +3,13 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powker
 from powker import __version__
 from powker.bounds import (
     ORDER_STATEMENT,
@@ -193,3 +197,12 @@ class TestSweep:
         assert header == "p,a,dim_ma,ext11,rank_lower,rank_upper,conjecture_zp,ms"
         assert rows[0].startswith("3,2,2,1,1,2,true,")
         assert len(rows) == len(report.rows)
+
+
+def test_cli_import_leaves_out_the_pool():
+    # only a parallel sweep imports concurrent.futures, and with it logging
+    code = "import sys, powker.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -100,6 +100,14 @@ def test_binom_mod_matches_math_comb(n, k, q):
     assert binom_mod(n, k, q) == math.comb(n, k) % q
 
 
+@pytest.mark.parametrize("q", [1000003, 2**61 - 1])
+def test_binom_mod_at_large_primes(q):
+    # digits close to a large p, from both ends of their rows
+    cases = [(0, 0), (5, 2), (60, 30), (200, 7), (q - 1, 3), (q - 1, q - 3), (q + 4, q), (2 * q + 3, 3)]
+    for n, k in cases:
+        assert binom_mod(n, k, q) == math.comb(n, k) % q, (n, k)
+
+
 class TestBiPoly:
     def test_construction_normalizes(self):
         m = BiPoly(P5, {(0, 0): 7, (1, 2): 10, (3, 3): -1})

@@ -360,6 +360,14 @@ class TestColumnAssembly:
         assert prob.roots == ((1, 1), (2, 1), (5, 1))
         assert hom_space(prob).equations == _oracle_equations(prob)
 
+    def test_million_prime_linear_divisor(self):
+        # one column at p = 1000003, where a table of all p binomial rows
+        # does not fit in memory; x - t, so that the root search stops at w = 1
+        mod = PrimeModulus(1000003)
+        prob = HomProblem(mod, BiPoly(mod, {(0, 1): 1, (1, 0): -1}), 2, BiPoly.one(mod))
+        assert prob.roots == ((1, 1),)
+        assert hom_space(prob).dim == 0
+
     def test_empty_domain_contains_only_zero(self):
         prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
         space = hom_space(prob)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import level_problem, operator_rows
+from oracle import echelon, level_problem, operator_rows
 from powker import _kernel, _pykernel
 from powker._pykernel import pack, slot_width, unpack
 from powker._pykernel import reduce_slice as py_reduce_slice
@@ -153,6 +153,39 @@ class TestTallRref:
     def test_all_zero(self):
         assert py_rref([[0, 0, 0]] * 5, 3, 7) == []
         assert py_rref([[0, 7, -14]] * 5, 3, 7) == []
+
+
+@st.composite
+def _matrices(draw):
+    """(rows, ncols, p): tall, wide or square, with zero rows, rows that are
+    combinations of earlier ones, and entries outside [0, p)."""
+    p = draw(st.sampled_from([3, 13, 65537, 2**31 - 1, 2**61 - 1]))
+    ncols = draw(st.integers(0, 8))
+    nrows = draw(st.integers(0, 12))
+    entries = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            row = [0] * ncols
+            for r in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(entries)
+                row = [x + c * y for x, y in zip(row, r)]
+            rows.append(row)
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    return rows, ncols, p
+
+
+class TestPackedRref:
+    # p = 2^61 - 1 needs slots wider than 8 bytes, so it takes the byte path
+    @given(matrix=_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_textbook_echelon(self, matrix):
+        rows, ncols, p = matrix
+        assert py_rref(rows, ncols, p) == echelon(rows, ncols, p)
 
 
 class TestPacking:

@@ -64,6 +64,18 @@ class TestSplitPolynomials:
         )
         assert f_of(v) == expected
 
+    @given(
+        q=st.sampled_from([3, 5, 7, 13]),
+        ws=st.lists(st.integers(min_value=-20, max_value=40), max_size=12),
+    )
+    def test_product_of_linear_forms(self, q, ws):
+        # repeated weights included: the lists draw from a narrow range
+        mod = PrimeModulus(q)
+        product = BiPoly.one(mod)
+        for w in ws:
+            product = product * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
+        assert f_of(Representation(mod, tuple(ws))) == product
+
     def test_chern_values(self):
         e = chern_classes(Representation(P5, (1, 2)))
         assert tuple(s.value for s in e) == (1, 3, 2)
