@@ -39,6 +39,7 @@ COMMANDS = (
     ("filtration", "--p", "7", "--a", "4", "--format", "json"),
     ("ma", "--p", "5", "--a", "9", "--basis", "--format", "json"),
     ("ma", "--p", "11", "--a", "9", "--basis", "--format", "json"),
+    ("sweep", "--max-pa", "100", "--format", "json"),
 )
 
 

@@ -228,7 +228,8 @@ def _sweep_row(pair: tuple[int, int]) -> SweepRow:
 def _pair_cost(pair: tuple[int, int]) -> int:
     # The level degree delta = p*a - (p+3)/2 is one less than the number
     # of domain columns; a rank report's time grows with it (its rank
-    # order matches measured row times at max_pa 60 with Spearman 0.98).
+    # order matches row times measured at max_pa 60, best of 5 serial
+    # sweeps, with Spearman 0.97).
     q, a = pair
     return parameters(PrimeModulus(q), a).delta
 

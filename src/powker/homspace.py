@@ -29,16 +29,26 @@ does, and the map is never built as a matrix.  Instead, at each weight:
       sum over s >= 0, k = n - s(p-1) with 0 <= k <= x_bound of
           C(k, s) c^w_k tau^s (1 + tau)^(delta-k)  ==  c^w_n h(t)
 
-  (c^w_n = 0 for n > x_bound).  Each identity gives one scalar equation
-  per power of t, and (1 + tau)^N is expanded from the base-p digits of
-  N (Lucas), once per N and level.
+  (c^w_n = 0 for n > x_bound).  Each identity holds coefficient by
+  coefficient in t, and (1 + tau)^N is expanded from the base-p digits
+  of N (Lucas).
 * The identity for n involves only the c^w_k with k = n mod p - 1, so each
-  (w, residue class) system is row-reduced on its own, stopping once it
-  has a pivot for every unknown.  Nothing in it depends on w beyond e_w,
-  so weights of equal multiplicity share one reduced system.  Its
-  reduced rows are mapped back to the domain coordinates through each
-  weight's Taylor shift; stacked, they number at most
-  min(e_w, x_bound + 1) per weight, so at most d.
+  (w, residue class) system is solved on its own.  It is triangular:
+  identity n brings in one new unknown c^w_n (for n <= x_bound), whose
+  coefficient, the diagonal, is (1 + tau)^(delta-n) - h; its other terms
+  hold earlier unknowns only.  So the solver walks the identities in
+  order and tracks the kernel of those seen so far.  While that is {0},
+  identity n only sets c^w_n = 0, unless its diagonal vanishes and frees
+  c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that happens for at most
+  one n per level, found by one comparison with h.  Once the kernel is
+  not {0}, each identity cuts it by one elimination with dim + 1
+  columns.  The system's rows span the annihilator of the final kernel,
+  so its unique RREF is computed from that kernel: one unit row per
+  unknown when the kernel is {0}.  A system depends on w only through
+  e_w, so weights of equal multiplicity share one.  Its rows are mapped
+  back to the domain coordinates through each weight's Taylor shift;
+  stacked, they number at most min(e_w, x_bound + 1) per weight, so at
+  most d.
 
 For a < p every identity has only its s = 0 term, and delta - epsilon =
 a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
@@ -78,7 +88,7 @@ from operator import mul
 from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
-from .reps import f_of, filtration_rep, r_poly
+from .reps import f_of, filtration_rep, linear_factors, r_poly
 from .steenrod import SplitPoly, h_poly, parameters, q_of_split
 
 __all__ = [
@@ -124,7 +134,7 @@ class HomProblem:
             raise ValueError("h must be a polynomial in t alone")
         if not self.h.coefficient(0, 0):
             raise ValueError("h must have nonzero constant term")
-        object.__setattr__(self, "roots", _roots(self.f))
+        object.__setattr__(self, "roots", linear_factors(self.f))
 
     def x_bound(self) -> int:
         """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
@@ -153,34 +163,6 @@ class HomProblem:
         for _i, j, c in m.iterterms():
             vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
         return vec
-
-
-def _roots(f: BiPoly) -> tuple[tuple[int, int], ...]:
-    """(w, e_w) for each root w of f(1, x) in F_p, ascending, by synthetic division.
-
-    f is homogeneous and monic in x, so f = prod (x - w t)^e_w exactly
-    when these multiplicities add up to deg_x f; otherwise ValueError.
-    """
-    p = f.modulus.p
-    coeffs = [0] * (f.x_degree() + 1)  # f(1, x), highest power first
-    for _i, j, c in f.iterterms():
-        coeffs[-1 - j] = c
-    roots = []
-    for w in range(p):
-        e = 0
-        while len(coeffs) > 1:
-            acc, quotient = 0, []
-            for c in coeffs:
-                acc = (acc * w + c) % p
-                quotient.append(acc)
-            if quotient.pop():
-                break
-            coeffs, e = quotient, e + 1
-        if e:
-            roots.append((w, e))
-        if len(coeffs) == 1:
-            return tuple(roots)
-    raise ValueError("f must split into linear factors x - w*t over F_p")
 
 
 @dataclass(frozen=True)
@@ -259,6 +241,19 @@ def _tau_powers(n: int, p: int) -> list[tuple[int, int]]:
     return terms
 
 
+def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | None:
+    """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
+
+    (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
+    """
+    q = problem.p.p - 1
+    power, rest = divmod(max(twist), q)
+    n = problem.delta - power
+    if rest or not 0 <= n <= problem.x_bound():
+        return None
+    return n if twist == {i * q: c for i, c in _tau_powers(power, problem.p.p)} else None
+
+
 def _level_rows(problem: HomProblem) -> list[list[int]]:
     """Rows over the domain basis whose common kernel is the kernel of the level map.
 
@@ -266,7 +261,7 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
     mapped back through the Taylor shift: at most min(e_w, x_bound + 1)
     rows per weight, so at most deg_x f rows in all.  In the Taylor
     coordinates a local system does not depend on w, only on e_w and rho,
-    so each one is reduced once per level.
+    so each one is solved once per level.
     """
     p = problem.p.p
     q = p - 1
@@ -276,65 +271,78 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
     for _ in range(top):
         prev = binom[-1]
         binom.append([1] + [(a + b) % p for a, b in zip(prev[1:], prev)])
-    twist = [(g, c) for g, _j, c in problem.h.iterterms()]
-    expansions: dict[int, list[tuple[int, int]]] = {}  # N -> terms of (1 + tau)^N
-    systems: dict[tuple[int, int], list[list[int]]] = {}  # (e_w, rho) -> reduced local rows
+    twist = {g: c for g, _j, c in problem.h.iterterms()}
+    vanishing = _vanishing_identity(problem, twist)
+    systems: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}  # (e_w, rho) -> local rows
     rows = []
     for w, e in problem.roots:
         wpow = [pow(w, i, p) for i in range(top + 1)]
         for rho in range(min(e, q)):
-            # the unknowns c^w_k, k = rho + idx * q <= min(e - 1, top)
-            size = len(range(rho, min(e - 1, top) + 1, q))
-            if not size:
-                continue
             local = systems.get((e, rho))
             if local is None:
-                local = []
-                for n in range(rho, e, q):
-                    fresh = _identity_rows(problem, n, rho, size, binom, twist, expansions)
-                    local = rref(local + fresh, size, p)
-                    if len(local) == size:
-                        break
-                systems[e, rho] = local
+                local = systems[e, rho] = _local_system(problem, e, rho, binom, twist, vanishing)
             # c^w_k = sum_j C(j, k) w^(j - k) c_j, and domain column top - j holds c_j
-            for r in local:
-                out = [0] * (top + 1)
-                for idx, v in enumerate(r):
-                    if v:
-                        k = rho + idx * q
-                        for j in range(k, top + 1):
-                            out[j] += v * binom[j][k] * wpow[j - k]
-                rows.append([v % p for v in reversed(out)])
+            for terms in local:
+                if len(terms) == 1:  # a unit row, c^w_k = 0
+                    ((k, _v),) = terms
+                    rows.append([binom[j][k] * wpow[j - k] % p for j in range(top, k - 1, -1)] + [0] * k)
+                else:
+                    rows.append(
+                        [
+                            sum(v * binom[j][k] * wpow[j - k] for k, v in terms if k <= j) % p
+                            for j in range(top, -1, -1)
+                        ]
+                    )
     return rows
 
 
-def _identity_rows(problem, n, rho, size, binom, twist, expansions) -> list[tuple[int, ...]]:
-    """The identity for the coefficient of y^n at one weight, one row per power of t.
-
-    Entry idx of a row belongs to c^w_k, k = rho + idx * (p - 1); entries
-    are reduced mod p, and zero and repeated rows are dropped.
+def _local_system(problem, e, rho, binom, twist, vanishing) -> list[list[tuple[int, int]]]:
+    """The RREF of the identities n = rho, rho + q, ... < e (q = p - 1) on the
+    unknowns c^w_k, k = rho + idx * q <= min(e - 1, x_bound), each row as
+    its nonzero (k, entry) terms: the annihilator of the kernel tracked
+    through the triangular identities (see the module docstring).
     """
     p = problem.p.p
     q = p - 1
     delta = problem.delta
-    eqs: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)  # t-exponent -> row
-    for idx in range(min((n - rho) // q + 1, size)):
-        k = rho + idx * q
-        s = (n - k) // q
-        ck = binom[k][s] if s <= k else 0
-        if not ck:
+    size = len(range(rho, min(e - 1, problem.x_bound()) + 1, q))
+    kernel: list[list[int]] = []  # a basis of the solutions on the unknowns so far
+    for idx, n in enumerate(range(rho, e, q)):
+        if not kernel:
+            if idx >= size:
+                break
+            if n == vanishing:
+                kernel = [[0] * idx + [1]]
             continue
-        terms = expansions.get(delta - k)
-        if terms is None:
-            terms = expansions[delta - k] = _tau_powers(delta - k, p)
-        for i, c in terms:
-            eqs[(s + i) * q][idx] += ck * c
-    if n <= problem.x_bound():
-        for g, c in twist:
-            eqs[g][(n - rho) // q] -= c
-    fresh = {tuple(v % p for v in eq) for eq in eqs.values()}
-    fresh.discard((0,) * size)
-    return list(fresh)
+        # t-exponent -> coefficient, one column per kernel vector, then c^w_n's
+        columns: list[defaultdict[int, int]] = []
+        for vec in kernel:
+            col: defaultdict[int, int] = defaultdict(int)
+            for i, v in enumerate(vec):
+                k, s = rho + i * q, idx - i
+                ck = binom[k][s] if v and s <= k else 0
+                if ck:
+                    for g, c in _tau_powers(delta - k, p):
+                        col[(s + g) * q] += v * ck * c
+            columns.append(col)
+        if idx < size:
+            col = defaultdict(int)
+            for g, c in _tau_powers(delta - n, p):
+                col[g * q] += c
+            for g, c in twist.items():
+                col[g] -= c
+            columns.append(col)
+        width = len(columns)
+        powers = set().union(*columns)
+        matrix = [[col.get(g, 0) for col in columns] for g in powers]
+        kernel = [
+            [sum(map(mul, sol, coords)) % p for coords in zip(*kernel)] + sol[len(kernel) :]
+            for sol in nullspace_rows(rref(matrix, width, p), width, p)
+        ]
+    if not kernel:
+        return [[(rho + idx * q, 1)] for idx in range(size)]
+    local = _nullspace(rref(kernel, size, p), size, p)
+    return [[(rho + idx * q, v) for idx, v in enumerate(row) if v] for row in local]
 
 
 def hom_space(problem: HomProblem) -> HomSpace:

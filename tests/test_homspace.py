@@ -60,6 +60,23 @@ class TestHomProblem:
         assert prob.roots == ((0, 3), (1, 3), (2, 2))
         assert HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2)).roots == ()
 
+    @pytest.mark.parametrize("q", [1000003, 2**61 - 1])
+    def test_roots_at_large_primes(self, q):
+        # the roots come from gcd(f(1, x), x^p - x), so a root near p costs
+        # no more than a small one
+        mod = PrimeModulus(q)
+
+        def linear(w):
+            return BiPoly(mod, {(0, 1): 1, (1, 0): -w})
+
+        h = BiPoly.one(mod)
+        assert HomProblem(mod, linear(-1), 2, h).roots == ((q - 1, 1),)
+        f = linear(2) ** 2 * linear(5) * linear(-1) ** 3
+        assert HomProblem(mod, f, 2, h).roots == ((2, 2), (5, 1), (q - 1, 3))
+        # -1 is not a square mod q (q = 3 mod 4), so x^2 + t^2 does not split
+        with pytest.raises(ValueError, match="split"):
+            HomProblem(mod, f * BiPoly(mod, {(0, 2): 1, (2, 0): 1}), 2, h)
+
     def test_domain_order_and_truncation(self):
         # delta below the divisor degree: no truncation
         prob = HomProblem(P3, r_poly(P3) ** 2, 3, h_poly(P3, 2))
@@ -362,7 +379,7 @@ class TestColumnAssembly:
 
     def test_million_prime_linear_divisor(self):
         # one column at p = 1000003, where a table of all p binomial rows
-        # does not fit in memory; x - t, so that the root search stops at w = 1
+        # does not fit in memory
         mod = PrimeModulus(1000003)
         prob = HomProblem(mod, BiPoly(mod, {(0, 1): 1, (1, 0): -1}), 2, BiPoly.one(mod))
         assert prob.roots == ((1, 1),)
@@ -444,20 +461,34 @@ class TestOperatorProperties:
 
 @st.composite
 def _split_problems(draw):
-    """Random split divisors prod (x - w t)^e_w with e_w up to p + 1, so that
-    the identities couple c^w_k across k (the s >= 1 terms); delta from 0, so
-    that the domain is often cut below deg_x f; and random twists, some with
-    t-exponents that p - 1 does not divide."""
+    """Random split divisors prod (x - w t)^e_w with e_w up to 2p + 2, so that
+    the identities couple c^w_k across k (the s >= 1 terms) and some residue
+    classes have more identities than unknowns; deg_x f stays at most
+    3(p + 1), which bounds the oracle's cost.  delta starts from 0, so that
+    the domain is often cut below deg_x f.  Half the twists are (1 + tau)^N
+    with N = delta - n for an n near the domain, so that the diagonal of
+    identity n vanishes and a local kernel is carried; the others are
+    random, some with t-exponents that p - 1 does not divide."""
     q = draw(st.sampled_from([3, 5, 7]))
     mod = PrimeModulus(q)
     weights = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3, unique=True))
-    mults = [draw(st.integers(1, q + 1)) for _ in weights]
+    mults: list[int] = []
+    for later in range(len(weights) - 1, -1, -1):  # leave at least 1 for each later weight
+        mults.append(draw(st.integers(1, min(2 * q + 2, 3 * (q + 1) - sum(mults) - later))))
     f = f_of(Representation(mod, tuple(w for w, e in zip(weights, mults) for _ in range(e))))
     delta = draw(st.integers(0, f.x_degree() + q))
+    if draw(st.booleans()):
+        n = draw(st.integers(-1, min(delta, f.x_degree() - 1) + 1))
+        return HomProblem(mod, f, delta, _tau_power(mod, max(delta - n, 0)))
     terms = draw(st.dictionaries(st.integers(1, 3 * q), st.integers(0, q - 1), max_size=3))
     terms[0] = draw(st.integers(1, q - 1))
     h = BiPoly(mod, {(g, 0): c for g, c in terms.items()})
     return HomProblem(mod, f, delta, h)
+
+
+def _tau_power(mod: PrimeModulus, n: int) -> BiPoly:
+    """(1 + tau)^n, tau = t^(p-1)."""
+    return BiPoly(mod, {(0, 0): 1, (mod.p - 1, 0): 1}) ** n
 
 
 class TestWeightLocalSystems:
@@ -472,6 +503,29 @@ class TestWeightLocalSystems:
         space = hom_space(prob)
         assert space.equations == _oracle_equations(prob)
         assert space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
+
+    # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
+    # c^w_n is free after it; the identities n + s(p-1) that follow cut it
+    # exactly when some C(n, s) is nonzero mod p
+    @pytest.mark.parametrize(
+        "q,e,delta,n",
+        [
+            (3, 4, 4, 1),  # freed by the first identity of its class, cut by the next
+            (3, 4, 1, 1),  # cut by n = 3 > x_bound, an identity with no unknown of its own
+            (5, 7, 6, 1),  # freed at n = 1, cut at n = 5 = 1 + (p - 1)
+            (3, 8, 7, 3),  # C(3, 1) = C(3, 2) = 0 mod 3: c_3 stays free to the end
+            (3, 10, 9, 3),  # ... and is cut at n = 9 by C(3, 3) = 1
+            (3, 9, 9, 0),  # C(0, s) = 0: c_0 stays free
+        ],
+    )
+    def test_carried_kernel(self, q, e, delta, n):
+        mod = PrimeModulus(q)
+        for w in (0, 1):
+            f = BiPoly(mod, {(0, 1): 1, (1, 0): -w}) ** e
+            prob = HomProblem(mod, f, delta, _tau_power(mod, delta - n))
+            space = hom_space(prob)
+            assert space.equations == _oracle_equations(prob)
+            assert space.dim == kernel_nullity(q, _as_dict(f), delta, _as_dict(prob.h))
 
 
 class TestOracleAgreement:
