@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._version import __version__
 from .errors import ConsistencyError
@@ -44,8 +44,7 @@ __all__ = [
 ORDER_STATEMENT = "all p-power torsion has order p"
 
 
-@dataclass(frozen=True)
-class FiltrationRow:
+class FiltrationRow(NamedTuple):
     k: int
     dim_v: int
     hom_dim: int
@@ -55,8 +54,7 @@ class FiltrationRow:
         return {"k": self.k, "dim_v": self.dim_v, "hom_dim": self.hom_dim, "ext11": self.ext11}
 
 
-@dataclass(frozen=True)
-class FiltrationTable:
+class FiltrationTable(NamedTuple):
     p: PrimeModulus
     a: int
     rows: tuple[FiltrationRow, ...]
@@ -79,8 +77,7 @@ class FiltrationTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     p: PrimeModulus
     a: int
     dim_ma: int
@@ -92,8 +89,7 @@ class RankReport:
     order_statement: str
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     report: RankReport
     ms: float
 
@@ -111,8 +107,7 @@ class SweepRow:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     max_pa: int
     engine: str
     rows: tuple[SweepRow, ...]
@@ -239,17 +234,22 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
     computed by a process pool of at most min(parallelism, pairs, CPUs)
-    workers.  The pool gets the pairs costliest first, by an estimate
-    from (p, a), so that no worker idles while the largest pair runs
-    last; the merged report is in (p, a) order and does not depend on
-    the worker count (timings aside).
+    workers, counting only the CPUs this process may run on.  The pool
+    gets the pairs costliest first, by an estimate from (p, a), so that
+    no worker idles while the largest pair runs last; the merged report
+    is in (p, a) order and does not depend on the worker count (timings
+    aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     pairs = _sweep_pairs(max_pa)
-    workers = min(parallelism, len(pairs), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the host's
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(parallelism, len(pairs), cpus)
     if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:

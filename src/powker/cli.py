@@ -7,6 +7,12 @@ filtration), ``sweep`` (rank reports over all p*a <= budget).
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
 error.  JSON and CSV output formats are stable; text output is for
 humans and may change.
+
+Before any work, a command refuses (exit 2) a level wider than
+MAX_COLUMNS domain columns, and `verify` refuses the identity suites for
+p > MAX_IDENTITY_P.  On a 2-vCPU machine, a level of about 2000 columns
+took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), and the
+qr and klemma identities took 9 s each at p = 47.
 """
 
 from __future__ import annotations
@@ -23,6 +29,19 @@ from .homspace import verify_k_lemma, verify_qr_identity, verify_substitution_id
 from .homspace import FpMatrix
 
 SUITES = ("family", "qr", "klemma", "subst", "shift", "all")
+MAX_COLUMNS = 2000
+MAX_IDENTITY_P = 47
+
+
+def _check_level(p: int, a: int) -> None:
+    """Refuse level a at p if its domain, min(delta, d - 1) + 1 columns with
+    d = (a-1)p + (p+1)/2, is wider than MAX_COLUMNS.  The steps of the
+    filtration walk at level a are no wider."""
+    ncols = min(p * a - (p + 3) // 2, (a - 1) * p + (p - 1) // 2) + 1
+    if ncols > MAX_COLUMNS:
+        raise ValueError(
+            f"level p = {p}, a = {a} has {ncols} columns, over the limit of {MAX_COLUMNS}"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,6 +146,7 @@ def _render_verify(p: PrimeModulus, suite: str, checks: list[dict], fmt: str) ->
 
 def _cmd_ma(args) -> tuple[str, int]:
     p = PrimeModulus(args.p)
+    _check_level(p.p, args.a)
     space = ma_space(p, args.a)
     if args.format == "json":
         data = space.to_json(a=args.a, include_basis=args.basis)
@@ -146,6 +166,12 @@ def _cmd_ma(args) -> tuple[str, int]:
 
 def _cmd_verify(args) -> tuple[str, int]:
     p = PrimeModulus(args.p)
+    if args.suite in ("family", "all"):
+        _check_level(p.p, 2)
+    if args.suite in ("shift", "all"):
+        _check_level(p.p, p.p)
+    if args.suite in ("qr", "subst", "klemma", "all") and p.p > MAX_IDENTITY_P:
+        raise ValueError(f"the identity suites take p <= {MAX_IDENTITY_P}, got {p.p}")
     checks = _verify_checks(p, args.suite)
     text = _render_verify(p, args.suite, checks, args.format)
     return text, 0 if all(c["ok"] for c in checks) else 1
@@ -153,6 +179,7 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_filtration(args) -> tuple[str, int]:
     p = PrimeModulus(args.p)
+    _check_level(p.p, args.a)
     table = filtration_table(p, args.a)
     pre = pre_filtration_dims(p, args.a) if args.a >= 3 else None
     if args.format == "json":
@@ -173,6 +200,9 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
+    # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
+    for q in (3, 5):
+        _check_level(q, args.max_pa // q)
     report = sweep(args.max_pa, parallelism=args.jobs)
     if args.format == "json":
         return json.dumps(report.to_json(), indent=2) + "\n", 0

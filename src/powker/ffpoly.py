@@ -16,15 +16,25 @@ Division lives in `BiPoly.divmod_x`: dividends are viewed as
 polynomials in x with coefficients in F_p[t], and the divisor must be
 monic in x (its leading x-coefficient is the constant 1), so quotient
 and remainder are exact and unique with deg_x(remainder) < deg_x(divisor).
+
+The package's validated value classes (`PrimeModulus`, `FpScalar` and
+those in the other modules) derive from `Frozen`: their fields live in
+`__slots__` and are set once in `__init__`; equality (same class only),
+hash and the `Name(field=value, ...)` repr use the fields named in
+`_fields`; assignment raises AttributeError; and a pickle restores the
+fields as stored, without validating them again.  Plain records are
+`typing.NamedTuple`s.  Both are cheap to define, which keeps the CLI's
+start-up short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
+    "Frozen",
     "PrimeModulus",
     "FpScalar",
     "BiPoly",
@@ -66,31 +76,67 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class Frozen:
+    """Base of the immutable value classes (see the module docstring)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # compared, hashed and shown; default: every slot
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return object.__new__, (type(self),), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, values):
+        self._set(*values)
+
+
+class PrimeModulus(Frozen):
     """An odd prime 3 <= p < PRIME_LIMIT, validated by deterministic Miller-Rabin."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        p = self.p
+    def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError("p must be an integer")
         if p < 3 or not _is_prime(p):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        self._set(p)
 
 
-@dataclass(frozen=True)
-class FpScalar:
+class FpScalar(Frozen):
     """A scalar in F_p, kept as the canonical residue in [0, p)."""
 
-    value: int
-    modulus: PrimeModulus
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        if not isinstance(self.value, int) or isinstance(self.value, bool):
+    def __init__(self, value: int, modulus: PrimeModulus):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError("scalar value must be an integer")
-        object.__setattr__(self, "value", self.value % self.modulus.p)
+        self._set(value % modulus.p, modulus)
 
     def _coerce(self, other) -> "FpScalar":
         if isinstance(other, int) and not isinstance(other, bool):

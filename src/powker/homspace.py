@@ -81,13 +81,12 @@ membership guarantees as they go.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
-from .ffpoly import BiPoly, FpScalar, PrimeModulus, TriPoly, binom_mod
+from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, TriPoly, binom_mod
 from .reps import f_of, filtration_rep, linear_factors, r_poly
 from .steenrod import SplitPoly, h_poly, parameters, q_of_split
 
@@ -107,34 +106,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomProblem:
+class HomProblem(Frozen):
     """Input data for one kernel computation.
 
     f must split into linear forms over F_p; `roots` holds (w, e_w) for
     each root w of f(1, x), ascending, so that f = prod (x - w t)^e_w.
+    It is derived from f, so it is neither compared nor shown.
     """
 
-    p: PrimeModulus
-    f: BiPoly
-    delta: int
-    h: BiPoly
-    roots: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "f", "delta", "h", "roots")
+    _fields = ("p", "f", "delta", "h")
 
-    def __post_init__(self):
-        if self.f.modulus != self.p or self.h.modulus != self.p:
+    def __init__(self, p: PrimeModulus, f: BiPoly, delta: int, h: BiPoly):
+        if f.modulus != p or h.modulus != p:
             raise ValueError("modulus mismatch")
-        if not self.f.is_monic_in_x():
+        if not f.is_monic_in_x():
             raise ValueError("f must be monic in x")
-        if not self.f.is_homogeneous():
+        if not f.is_homogeneous():
             raise ValueError("f must be homogeneous")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("delta must be non-negative")
-        if self.h.x_degree() > 0:
+        if h.x_degree() > 0:
             raise ValueError("h must be a polynomial in t alone")
-        if not self.h.coefficient(0, 0):
+        if not h.coefficient(0, 0):
             raise ValueError("h must have nonzero constant term")
-        object.__setattr__(self, "roots", linear_factors(self.f))
+        self._set(p, f, delta, h, linear_factors(f))
 
     def x_bound(self) -> int:
         """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
@@ -165,14 +161,18 @@ class HomProblem:
         return vec
 
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(Frozen):
     """A computed kernel: the problem, a reduced echelon basis, and the
-    operator's RREF rows, which decide membership (unique, so not compared)."""
+    operator's RREF rows, which decide membership (unique, so neither
+    compared nor shown)."""
 
-    problem: HomProblem
-    basis: tuple[BiPoly, ...]
-    equations: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("problem", "basis", "equations")
+    _fields = ("problem", "basis")
+
+    def __init__(
+        self, problem: HomProblem, basis: tuple[BiPoly, ...], equations: tuple[tuple[int, ...], ...]
+    ):
+        self._set(problem, basis, equations)
 
     @property
     def dim(self) -> int:

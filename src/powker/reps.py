@@ -12,9 +12,7 @@ multiplicities, or rejects an f that does not split over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ffpoly import BiPoly, FpScalar, PrimeModulus
+from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus
 
 __all__ = [
     "Representation",
@@ -26,17 +24,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Frozen):
     """A finite multiset of weights mod p, stored sorted ascending."""
 
-    modulus: PrimeModulus
-    weights: tuple[int, ...]
+    __slots__ = ("modulus", "weights")
 
-    def __post_init__(self):
-        p = self.modulus.p
-        ws = tuple(sorted(w % p for w in self.weights))
-        object.__setattr__(self, "weights", ws)
+    def __init__(self, modulus: PrimeModulus, weights: tuple[int, ...]):
+        p = modulus.p
+        self._set(modulus, tuple(sorted(w % p for w in weights)))
 
     @classmethod
     def regular(cls, modulus: PrimeModulus) -> "Representation":

@@ -25,9 +25,9 @@ Q(m) = P(m) / m is again polynomial and `q_of_split` computes it as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .ffpoly import BiPoly, FpScalar, PrimeModulus, binom_mod
+from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
 
 __all__ = [
     "total_power",
@@ -60,8 +60,7 @@ def total_power(m: BiPoly) -> BiPoly:
     return BiPoly(m.modulus, acc)
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(NamedTuple):
     """Derived level data: twist exponent epsilon and working degree delta."""
 
     p: PrimeModulus
@@ -91,31 +90,26 @@ def h_poly(p: PrimeModulus, a: int) -> BiPoly:
     return BiPoly(p, coeffs)
 
 
-@dataclass(frozen=True)
-class SplitPoly:
+class SplitPoly(Frozen):
     """A split polynomial unit * t^tau_power * prod_j (x - factors[j] * t)."""
 
-    modulus: PrimeModulus
-    unit: FpScalar
-    factors: tuple[FpScalar, ...]
-    tau_power: int = 0
+    __slots__ = ("modulus", "unit", "factors", "tau_power")
 
-    def __post_init__(self):
-        if isinstance(self.unit, int):
-            object.__setattr__(self, "unit", FpScalar(self.unit, self.modulus))
-        if self.unit.modulus != self.modulus:
+    def __init__(self, modulus: PrimeModulus, unit: FpScalar, factors: tuple[FpScalar, ...],
+                 tau_power: int = 0):
+        if isinstance(unit, int):
+            unit = FpScalar(unit, modulus)
+        if unit.modulus != modulus:
             raise ValueError("modulus mismatch")
-        if not self.unit:
+        if not unit:
             raise ValueError("unit must be nonzero")
-        factors = tuple(
-            f if isinstance(f, FpScalar) else FpScalar(f, self.modulus) for f in self.factors
-        )
+        factors = tuple(f if isinstance(f, FpScalar) else FpScalar(f, modulus) for f in factors)
         for f in factors:
-            if f.modulus != self.modulus:
+            if f.modulus != modulus:
                 raise ValueError("modulus mismatch")
-        object.__setattr__(self, "factors", factors)
-        if self.tau_power < 0:
+        if tau_power < 0:
             raise ValueError("tau_power must be non-negative")
+        self._set(modulus, unit, factors, tau_power)
 
     def expand(self) -> BiPoly:
         out = BiPoly.monomial(self.modulus, self.tau_power, 0, self.unit.value)

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -141,6 +142,27 @@ class TestSweep:
         parallel = sweep(12, parallelism=3)
         assert _without_ms(serial) == _without_ms(parallel)
 
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods_match_serial(self, monkeypatch, method):
+        # rows come back from the workers pickled: SweepRow -> RankReport -> PrimeModulus
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        real_pool = concurrent.futures.ProcessPoolExecutor
+        pools = []
+
+        def pool(**kwargs):
+            pools.append(kwargs)
+            return real_pool(mp_context=multiprocessing.get_context(method), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        report = sweep(12, parallelism=2)
+        assert pools == [{"max_workers": 2}]
+        serial = sweep(12, parallelism=1)
+        assert [row.report for row in report.rows] == [row.report for row in serial.rows]
+        assert all(type(row.report.p) is PrimeModulus for row in report.rows)
+        assert report.engine == serial.engine
+
     def test_worker_count_is_clamped(self, monkeypatch):
         # a stand-in pool that records its arguments and maps in this
         # process, so no worker is ever started
@@ -162,6 +184,8 @@ class TestSweep:
                 return map(fn, submitted[-1])
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # first a platform without affinity masks, where the host's CPU count is used
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         serial = sweep(12, parallelism=1)
         report = sweep(12, parallelism=100000)  # 6 pairs, 4 CPUs
@@ -182,6 +206,13 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         sweep(12, parallelism=100000)
         assert pools[-1]["max_workers"] == len(_sweep_pairs(12))
+        # an affinity mask of 2 of the host's 64 CPUs clamps the pool to 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        sweep(12, parallelism=100000)
+        assert pools[-1]["max_workers"] == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        sweep(12, parallelism=100000)  # one usable CPU: serial
+        assert len(pools) == 3
 
     def test_serialization(self):
         report = sweep(10, parallelism=1)
@@ -200,8 +231,10 @@ class TestSweep:
 
 
 def test_cli_import_leaves_out_the_pool():
-    # only a parallel sweep imports concurrent.futures, and with it logging
-    code = "import sys, powker.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    # only a parallel sweep imports concurrent.futures, and with it logging;
+    # no module imports dataclasses, which brings in inspect
+    left_out = "{'concurrent.futures', 'logging', 'dataclasses', 'inspect'}"
+    code = f"import sys, powker.cli; print(sorted({left_out} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

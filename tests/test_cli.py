@@ -8,7 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from powker import __version__, homspace
+from powker import __version__, bounds, cli, homspace
+from powker.bounds import _sweep_pairs
 from powker.cli import main
 from powker.reps import Representation
 from powker.ffpoly import PrimeModulus
@@ -206,6 +207,73 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["ma", "--p", "3", "--a", "2", "--format", "yaml"])
         assert exc.value.code == 2
+
+
+class Started(Exception):
+    """Raised by the stand-ins for the work that a size limit must prevent."""
+
+
+class TestSizeLimits:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        # every kernel build and identity check fails loudly, so no test
+        # here can start the extreme sizes it asks for
+        def start(*args):
+            raise Started
+
+        homspace._level.cache_clear()
+        monkeypatch.setattr(homspace, "hom_space", start)
+        monkeypatch.setattr(bounds, "hom_space", start)
+        for name in ("verify_qr_identity", "verify_substitution_identity", "verify_k_lemma"):
+            monkeypatch.setattr(cli, name, start)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ma", "--p", "65537", "--a", "2"],  # 98305 columns
+            ["ma", "--p", "3", "--a", "668"],  # 2002
+            ["filtration", "--p", "3", "--a", "668"],
+            ["sweep", "--max-pa", "2006"],  # p = 3, a = 668
+            ["verify", "--p", "1999", "--suite", "family"],  # a = 2: 2998
+            ["verify", "--p", "47", "--suite", "shift"],  # a = 47: 2185
+            ["verify", "--p", "47", "--suite", "all"],
+            ["verify", "--p", "53", "--suite", "qr"],
+            ["verify", "--p", "53", "--suite", "subst"],
+            ["verify", "--p", "53", "--suite", "klemma"],
+        ],
+    )
+    def test_over_the_limit_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "over the limit of 2000" in err or "identity suites take p <= 47" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ma", "--p", "3", "--a", "667"],  # 1999 columns
+            ["filtration", "--p", "13", "--a", "154"],  # 1995
+            ["sweep", "--max-pa", "2003"],  # p = 3, a = 667
+            ["verify", "--p", "1327", "--suite", "family"],  # 1990
+            ["verify", "--p", "43", "--suite", "shift"],  # 1827
+            ["verify", "--p", "47", "--suite", "klemma"],
+        ],
+    )
+    def test_up_to_the_limit_starts(self, argv):
+        with pytest.raises(Started):
+            main(argv)
+
+    def test_sweep_limit_is_its_widest_level(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_COLUMNS", 40)
+        width = {
+            (q, a): len(homspace._ma_problem(PrimeModulus(q), a).domain_monomials())
+            for q, a in _sweep_pairs(60)
+        }
+        for max_pa in range(6, 61):
+            if max(width[pair] for pair in _sweep_pairs(max_pa)) > 40:
+                assert run_cli(capsys, "sweep", "--max-pa", str(max_pa))[0] == 2
+            else:
+                with pytest.raises(Started):
+                    main(["sweep", "--max-pa", str(max_pa)])
 
 
 class TestRepresentationSchema:
