@@ -40,6 +40,8 @@ COMMANDS = (
     ("ma", "--p", "5", "--a", "9", "--basis", "--format", "json"),
     ("ma", "--p", "11", "--a", "9", "--basis", "--format", "json"),
     ("sweep", "--max-pa", "100", "--format", "json"),
+    ("verify", "--p", "31", "--suite", "qr"),
+    ("verify", "--p", "31", "--suite", "klemma"),
 )
 
 

@@ -1,9 +1,8 @@
-"""Pure-Python kernels: `rref`, packed F_p vectors, and the slice reducer `reduce_slice`.
+"""Pure-Python kernels: `rref` and packed F_p vectors.
 
 `rref` is the engine's one row reduction; it returns the unique RREF of
 the row space by Gauss-Jordan elimination on packed rows, for every
-shape of input.  The engine no longer calls `reduce_slice`; it stays
-only as the name the benchmark's traced pass wraps.
+shape of input.
 
 A packed vector holds k residues in one int: slot i is entry i, in
 bytes [i * width, (i + 1) * width).  A sum of non-negative multiples of
@@ -85,27 +84,6 @@ def nullspace_rows(reduced: list[list[int]], ncols: int, p: int) -> list[list[in
                 vec[pc] = (-prow[free]) % p
         basis.append(vec)
     return basis
-
-
-def reduce_slice(w: list[int], fcoeffs: list[int], p: int) -> list[int]:
-    """In-place remainder of a homogeneous slice modulo f.
-
-    w[j] holds the coefficient of x^j in one homogeneous component (the
-    t-exponent is implied by the total degree).  fcoeffs[k] holds the
-    scalar of t^(d-k)*x^k in a homogeneous divisor f that is monic in x,
-    so fcoeffs[d] == 1.  On return w[j] == 0 for all j >= d.
-    """
-    d = len(fcoeffs) - 1
-    for j in range(len(w) - 1, d - 1, -1):
-        c = w[j]
-        if c:
-            w[j] = 0
-            base = j - d
-            for k in range(d):
-                fk = fcoeffs[k]
-                if fk:
-                    w[base + k] = (w[base + k] - c * fk) % p
-    return w
 
 
 def rref(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:

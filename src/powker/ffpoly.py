@@ -31,14 +31,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "Frozen",
     "PrimeModulus",
     "FpScalar",
     "BiPoly",
-    "TriPoly",
     "is_divisible",
     "binom_mod",
 ]
@@ -497,83 +496,6 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly(p={self.modulus.p}, {self.text()!r})"
-
-
-class TriPoly:
-    """A polynomial in an extra variable K with BiPoly coefficients.
-
-    entries[k] is the coefficient of K^k; the leading entry is nonzero.
-    """
-
-    __slots__ = ("modulus", "entries")
-
-    def __init__(self, modulus: PrimeModulus, entries: Iterable[BiPoly] = ()):
-        lst = list(entries)
-        for e in lst:
-            if e.modulus != modulus:
-                raise ValueError("modulus mismatch")
-        while lst and lst[-1].is_zero():
-            lst.pop()
-        self.modulus = modulus
-        self.entries = tuple(lst)
-
-    def k_degree(self) -> int:
-        return len(self.entries) - 1
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
-        n = max(len(self.entries), len(other.entries))
-        zero = BiPoly.zero(self.modulus)
-        out = []
-        for k in range(n):
-            a = self.entries[k] if k < len(self.entries) else zero
-            b = other.entries[k] if k < len(other.entries) else zero
-            out.append(a + b)
-        return TriPoly(self.modulus, out)
-
-    def __mul__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch")
-        if self.is_zero() or other.is_zero():
-            return TriPoly(self.modulus)
-        zero = BiPoly.zero(self.modulus)
-        out = [zero] * (len(self.entries) + len(other.entries) - 1)
-        for k1, a in enumerate(self.entries):
-            if a.is_zero():
-                continue
-            for k2, b in enumerate(other.entries):
-                if b.is_zero():
-                    continue
-                out[k1 + k2] = out[k1 + k2] + a * b
-        return TriPoly(self.modulus, out)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = TriPoly(self.modulus, [BiPoly.one(self.modulus)])
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        return self.modulus == other.modulus and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.modulus, self.entries))
-
-    def __repr__(self):
-        inner = ", ".join(e.text() for e in self.entries)
-        return f"TriPoly(p={self.modulus.p}, [{inner}])"
 
 
 def is_divisible(numerator: BiPoly, divisor: BiPoly) -> bool:

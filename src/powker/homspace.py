@@ -30,8 +30,7 @@ does, and the map is never built as a matrix.  Instead, at each weight:
           C(k, s) c^w_k tau^s (1 + tau)^(delta-k)  ==  c^w_n h(t)
 
   (c^w_n = 0 for n > x_bound).  Each identity holds coefficient by
-  coefficient in t, and (1 + tau)^N is expanded from the base-p digits
-  of N (Lucas).
+  coefficient in t, and (1 + tau)^N is `steenrod.binomial_terms(N, p)`.
 * The identity for n involves only the c^w_k with k = n mod p - 1, so each
   (w, residue class) system is solved on its own.  It is triangular:
   identity n brings in one new unknown c^w_n (for n <= x_bound), whose
@@ -46,9 +45,11 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   so its unique RREF is computed from that kernel: one unit row per
   unknown when the kernel is {0}.  A system depends on w only through
   e_w, so weights of equal multiplicity share one.  Its rows are mapped
-  back to the domain coordinates through each weight's Taylor shift;
-  stacked, they number at most min(e_w, x_bound + 1) per weight, so at
-  most d.
+  back to the domain coordinates through the Taylor functionals c^w_k,
+  k < min(e_w, x_bound + 1), which the recurrence C(j, k) w^(j-k) =
+  w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k) builds at each weight: a
+  unit row is a functional itself.  Stacked, the rows number at most
+  min(e_w, x_bound + 1) per weight, so at most d.
 
 For a < p every identity has only its s = 0 term, and delta - epsilon =
 a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
@@ -82,13 +83,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
-from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, TriPoly, binom_mod
+from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
 from .reps import f_of, filtration_rep, linear_factors, r_poly
-from .steenrod import SplitPoly, h_poly, parameters, q_of_split
+from .steenrod import SplitPoly, binomial_terms, h_poly, one_plus_tau, parameters, q_of_split
 
 __all__ = [
     "HomProblem",
@@ -221,37 +223,16 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _tau_powers(n: int, p: int) -> list[tuple[int, int]]:
-    """The terms (i, C(n, i) mod p) of (1 + tau)^n, all nonzero.
-
-    By Lucas' theorem (1 + tau)^n is the product over the base-p digits
-    n_l of n of (1 + tau^(p^l))^(n_l), and no C(n_l, i_l) vanishes mod p.
-    """
-    terms = [(0, 1)]
-    place = 1
-    while n:
-        n, digit = divmod(n, p)
-        if digit:
-            terms = [
-                (i + k * place, c * binom_mod(digit, k, p) % p)
-                for i, c in terms
-                for k in range(digit + 1)
-            ]
-        place *= p
-    return terms
-
-
-def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | None:
+def _vanishing_identity(problem: HomProblem) -> int | None:
     """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
 
     (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
     """
-    q = problem.p.p - 1
-    power, rest = divmod(max(twist), q)
+    power, rest = divmod(problem.h.tau_degree(), problem.p.p - 1)
     n = problem.delta - power
     if rest or not 0 <= n <= problem.x_bound():
         return None
-    return n if twist == {i * q: c for i, c in _tau_powers(power, problem.p.p)} else None
+    return n if problem.h == one_plus_tau(problem.p, power) else None
 
 
 def _level_rows(problem: HomProblem) -> list[list[int]]:
@@ -266,37 +247,33 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
     p = problem.p.p
     q = p - 1
     top = problem.x_bound()
-    # binom[j][k] = C(j, k) mod p for j, k <= top, zero for k > j
-    binom = [[1] + [0] * top]
-    for _ in range(top):
-        prev = binom[-1]
-        binom.append([1] + [(a + b) % p for a, b in zip(prev[1:], prev)])
     twist = {g: c for g, _j, c in problem.h.iterterms()}
-    vanishing = _vanishing_identity(problem, twist)
+    vanishing = _vanishing_identity(problem)
     systems: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}  # (e_w, rho) -> local rows
     rows = []
     for w, e in problem.roots:
-        wpow = [pow(w, i, p) for i in range(top + 1)]
+        # taylor[k][j] = C(j, k) w^(j - k), the coefficient of c_j in c^w_k,
+        # by C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)
+        taylor = [list(accumulate(range(top), lambda acc, _: w * acc % p, initial=1))]
+        for k in range(1, min(e, top + 1)):
+            prev = taylor[-1][k - 1 : top]
+            taylor.append([0] * k + list(accumulate(prev, lambda acc, c: (w * acc + c) % p)))
+        taylor = [functional[::-1] for functional in taylor]  # domain column top - j holds c_j
         for rho in range(min(e, q)):
             local = systems.get((e, rho))
             if local is None:
-                local = systems[e, rho] = _local_system(problem, e, rho, binom, twist, vanishing)
-            # c^w_k = sum_j C(j, k) w^(j - k) c_j, and domain column top - j holds c_j
+                local = systems[e, rho] = _local_system(problem, e, rho, twist, vanishing)
             for terms in local:
                 if len(terms) == 1:  # a unit row, c^w_k = 0
-                    ((k, _v),) = terms
-                    rows.append([binom[j][k] * wpow[j - k] % p for j in range(top, k - 1, -1)] + [0] * k)
+                    rows.append(taylor[terms[0][0]])
                 else:
-                    rows.append(
-                        [
-                            sum(v * binom[j][k] * wpow[j - k] for k, v in terms if k <= j) % p
-                            for j in range(top, -1, -1)
-                        ]
-                    )
+                    coeffs = [v for _k, v in terms]
+                    functionals = [taylor[k] for k, _v in terms]
+                    rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
     return rows
 
 
-def _local_system(problem, e, rho, binom, twist, vanishing) -> list[list[tuple[int, int]]]:
+def _local_system(problem, e, rho, twist, vanishing) -> list[list[tuple[int, int]]]:
     """The RREF of the identities n = rho, rho + q, ... < e (q = p - 1) on the
     unknowns c^w_k, k = rho + idx * q <= min(e - 1, x_bound), each row as
     its nonzero (k, entry) terms: the annihilator of the kernel tracked
@@ -320,14 +297,14 @@ def _local_system(problem, e, rho, binom, twist, vanishing) -> list[list[tuple[i
             col: defaultdict[int, int] = defaultdict(int)
             for i, v in enumerate(vec):
                 k, s = rho + i * q, idx - i
-                ck = binom[k][s] if v and s <= k else 0
+                ck = binom_mod(k, s, p) if v else 0
                 if ck:
-                    for g, c in _tau_powers(delta - k, p):
+                    for g, c in binomial_terms(delta - k, p):
                         col[(s + g) * q] += v * ck * c
             columns.append(col)
         if idx < size:
             col = defaultdict(int)
-            for g, c in _tau_powers(delta - n, p):
+            for g, c in binomial_terms(delta - n, p):
                 col[g * q] += c
             for g, c in twist.items():
                 col[g] -= c
@@ -462,10 +439,7 @@ def verify_qr_identity(p: PrimeModulus) -> bool:
     """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1)."""
     pp = p.p
     split_r = SplitPoly(p, FpScalar(1, p), tuple(FpScalar(k, p) for k in range(pp)))
-    lhs = q_of_split(split_r)
-    one_plus_tau = BiPoly(p, {(0, 0): 1, (pp - 1, 0): 1})
-    rhs = r_poly(p) ** (pp - 1) + one_plus_tau ** (pp - 1)
-    return lhs == rhs
+    return q_of_split(split_r) == r_poly(p) ** (pp - 1) + one_plus_tau(p, pp - 1)
 
 
 def verify_substitution_identity(p: PrimeModulus) -> bool:
@@ -481,15 +455,19 @@ def verify_substitution_identity(p: PrimeModulus) -> bool:
 
 
 def verify_k_lemma(p: PrimeModulus) -> bool:
-    """Check prod_k (K + (x - k*t)^(p-1)) == r^(p-1) + K (K + t^(p-1))^(p-1)."""
+    """Check prod_k (K + (x - k*t)^(p-1)) == r^(p-1) + K (K + t^(p-1))^(p-1).
+
+    Both sides are lists of coefficients of K^0, ..., K^p.  On the right,
+    K^n for n >= 1 has C(p-1, p-n) t^((p-1)(p-n)).
+    """
     pp = p.p
-    one = BiPoly.one(p)
     zero = BiPoly.zero(p)
-    lhs = TriPoly(p, [one])
+    lhs = [BiPoly.one(p)]
     for k in range(pp):
-        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k})
-        lhs = lhs * TriPoly(p, [linear ** (pp - 1), one])
-    tau_pow = BiPoly.monomial(p, pp - 1, 0)
-    k_shift = TriPoly(p, [tau_pow, one]) ** (pp - 1)
-    rhs = TriPoly(p, [r_poly(p) ** (pp - 1)]) + TriPoly(p, [zero, one]) * k_shift
+        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (pp - 1)
+        lhs = [a * linear + b for a, b in zip(lhs + [zero], [zero] + lhs)]
+    rhs = [r_poly(p) ** (pp - 1)] + [
+        BiPoly.monomial(p, (pp - 1) * (pp - n), 0, binom_mod(pp - 1, pp - n, pp))
+        for n in range(1, pp + 1)
+    ]
     return lhs == rhs

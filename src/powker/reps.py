@@ -74,16 +74,12 @@ def r_poly(p: PrimeModulus) -> BiPoly:
 
 
 def chern_classes(v: Representation) -> tuple[FpScalar, ...]:
-    """Elementary symmetric functions e_0, ..., e_n of the weights mod p."""
-    p = v.modulus.p
-    e = [1]
-    for w in v.weights:
-        nxt = [1]
-        for j in range(1, len(e)):
-            nxt.append((e[j] + w * e[j - 1]) % p)
-        nxt.append(w * e[-1] % p)
-        e = nxt
-    return tuple(FpScalar(c, v.modulus) for c in e)
+    """Elementary symmetric functions e_0, ..., e_n of the weights mod p.
+
+    f_of(v) has (-1)^j e_j as its coefficient of t^j x^(n-j).
+    """
+    f, n = f_of(v), v.dim
+    return tuple((-1) ** j * f.coefficient(j, n - j) for j in range(n + 1))
 
 
 def filtration_rep(p: PrimeModulus, a: int, k: int) -> Representation:

@@ -1,26 +1,30 @@
 """The total power operation on F_p[t, x] and the level data built from it.
 
+Every binomial power the engine needs, (1 + X)^n mod p, comes from
+`binomial_terms`, which reads its nonzero terms off the base-p digits
+of n (Lucas); `one_plus_tau` is (1 + tau)^n for tau = t^(p-1).
+
 The total power operation P is the ring endomorphism determined by
-t -> t + t^p and x -> x + x^p.  On a monomial it expands through the
-binomial theorem,
+t -> t + t^p and x -> x + x^p, that is t -> t (1 + tau) and
+x -> x (1 + x^(p-1)).  On a monomial
 
-    P(t^i * x^j) = sum_{s<=i, t<=j} C(i,s) C(j,t) t^(i+s(p-1)) x^(j+t(p-1)),
+    P(t^i * x^j) = t^i x^j (1 + tau)^i (1 + x^(p-1))^j,
 
-which is what `total_power` implements; the generator-substitution
+which is what `total_power` expands; the generator-substitution
 definition is kept in the test suite as an independent oracle.
 
 For a level a >= 2 the derived quantities are
 
     epsilon = (2a - 1)(p - 1) / 2        twist exponent
     delta   = p*a - (p + 3) / 2          working degree
-    h       = (1 + t^(p-1))^epsilon      twist polynomial
+    h       = (1 + tau)^epsilon          twist polynomial
 
 so that delta - epsilon = a - 2.
 
 `SplitPoly` records a product of distinct-root linear forms
 unit * t^e * prod_j (x - k_j t); for such a polynomial m the quotient
 Q(m) = P(m) / m is again polynomial and `q_of_split` computes it as
-(1 + t^(p-1))^e * prod_j (1 + (x - k_j t)^(p-1)).
+(1 + tau)^e * prod_j (1 + (x - k_j t)^(p-1)).
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from typing import NamedTuple
 from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
 
 __all__ = [
+    "binomial_terms",
+    "one_plus_tau",
     "total_power",
     "Parameters",
     "parameters",
@@ -39,24 +45,44 @@ __all__ = [
 ]
 
 
+def binomial_terms(n: int, p: int) -> list[tuple[int, int]]:
+    """The terms (i, C(n, i) mod p) of (1 + X)^n, all nonzero, not in ascending order.
+
+    By Lucas' theorem (1 + X)^n is the product over the base-p digits
+    n_l of n of (1 + X^(p^l))^(n_l), and no C(n_l, i_l) vanishes mod p.
+    """
+    terms = [(0, 1)]
+    place = 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            terms = [
+                (i + k * place, c * binom_mod(digit, k, p) % p)
+                for i, c in terms
+                for k in range(digit + 1)
+            ]
+        place *= p
+    return terms
+
+
+def one_plus_tau(p: PrimeModulus, n: int) -> BiPoly:
+    """(1 + tau)^n, tau = t^(p-1), expanded mod p."""
+    return BiPoly(p, {(i * (p.p - 1), 0): c for i, c in binomial_terms(n, p.p)})
+
+
 def total_power(m: BiPoly) -> BiPoly:
     """Apply the total power operation to m."""
     p = m.modulus.p
     shift = p - 1
     acc: dict[tuple[int, int], int] = {}
     for i, j, c in m.iterterms():
-        bin_i = [binom_mod(i, s, p) for s in range(i + 1)]
-        bin_j = [binom_mod(j, t, p) for t in range(j + 1)]
-        for s, cs in enumerate(bin_i):
-            if not cs:
-                continue
+        bin_j = binomial_terms(j, p)
+        for s, cs in binomial_terms(i, p):
             cis = c * cs
             ti = i + s * shift
-            for t, ct in enumerate(bin_j):
-                if not ct:
-                    continue
-                key = (ti, j + t * shift)
-                acc[key] = (acc.get(key, 0) + cis * ct) % p
+            for u, cu in bin_j:
+                key = (ti, j + u * shift)
+                acc[key] = (acc.get(key, 0) + cis * cu) % p
     return BiPoly(m.modulus, acc)
 
 
@@ -80,14 +106,7 @@ def parameters(p: PrimeModulus, a: int) -> Parameters:
 
 def h_poly(p: PrimeModulus, a: int) -> BiPoly:
     """The twist polynomial (1 + t^(p-1))^epsilon, expanded mod p."""
-    pars = parameters(p, a)
-    pp = p.p
-    coeffs = {}
-    for u in range(pars.epsilon + 1):
-        c = binom_mod(pars.epsilon, u, pp)
-        if c:
-            coeffs[(u * (pp - 1), 0)] = c
-    return BiPoly(p, coeffs)
+    return one_plus_tau(p, parameters(p, a).epsilon)
 
 
 class SplitPoly(Frozen):
@@ -122,8 +141,7 @@ def q_of_split(m: SplitPoly) -> BiPoly:
     """The polynomial quotient P(expand(m)) / expand(m)."""
     mod = m.modulus
     p = mod.p
-    one_plus_tau = BiPoly(mod, {(0, 0): 1, (p - 1, 0): 1})
-    out = one_plus_tau ** m.tau_power
+    out = one_plus_tau(mod, m.tau_power)
     for k in m.factors:
         linear = BiPoly(mod, {(0, 1): 1, (1, 0): -k.value})
         out = out * (BiPoly.one(mod) + linear ** (p - 1))

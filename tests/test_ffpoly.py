@@ -11,7 +11,6 @@ from powker.ffpoly import (
     BiPoly,
     FpScalar,
     PrimeModulus,
-    TriPoly,
     _is_prime,
     binom_mod,
     is_divisible,
@@ -213,18 +212,3 @@ class TestTextRoundTrip:
         for bad in ("x**2", "y + 1", "t^", "2x"):
             with pytest.raises(ValueError):
                 BiPoly.parse(P3, bad)
-
-
-class TestTriPoly:
-    def test_arithmetic(self):
-        one = BiPoly.one(P3)
-        t = BiPoly.tau(P3)
-        # (t + K)^2 = t^2 + 2tK + K^2
-        sq = TriPoly(P3, [t, one]) ** 2
-        assert sq == TriPoly(P3, [t * t, t + t, one])
-        assert (TriPoly(P3, [one]) + TriPoly(P3, [t])).k_degree() == 0
-
-    def test_zero(self):
-        z = TriPoly(P3, [])
-        assert z.is_zero()
-        assert (z * TriPoly(P3, [BiPoly.one(P3)])).is_zero()

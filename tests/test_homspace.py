@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracle import kernel_nullity, m_nullity, row_space
 from powker import homspace
+from powker.cli import main
 from powker.errors import ConsistencyError
 from powker.ffpoly import BiPoly, PrimeModulus, is_divisible
 from powker.homspace import (
@@ -310,6 +311,20 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("q", [3, 5])
     def test_k_lemma(self, q):
         assert verify_k_lemma(PrimeModulus(q))
+
+    # a wrong r (r + t^p) must make every identity that reads it fail,
+    # and a failed identity must make `verify` exit 1
+    @pytest.fixture
+    def wrong_r(self, monkeypatch):
+        monkeypatch.setattr(homspace, "r_poly", lambda p: r_poly(p) + BiPoly.monomial(p, p.p, 0))
+
+    @pytest.mark.parametrize("check", [verify_qr_identity, verify_substitution_identity, verify_k_lemma])
+    def test_wrong_r_fails(self, wrong_r, check):
+        assert not check(P5)
+
+    def test_wrong_r_exits_1(self, wrong_r, capsys):
+        assert main(["verify", "--p", "5", "--suite", "klemma"]) == 1
+        assert "k_polynomial_identity" in capsys.readouterr().out
 
 
 class TestEchelonForm:

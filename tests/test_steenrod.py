@@ -1,12 +1,22 @@
 """Tests for the total power operation and the level data."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import sub_power
 from powker.ffpoly import BiPoly, PrimeModulus
-from powker.steenrod import SplitPoly, h_poly, parameters, q_of_split, total_power
+from powker.steenrod import (
+    SplitPoly,
+    binomial_terms,
+    h_poly,
+    one_plus_tau,
+    parameters,
+    q_of_split,
+    total_power,
+)
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -21,6 +31,21 @@ def sparse_polys(modulus, max_exp=5, max_terms=4):
     return st.lists(term, max_size=max_terms).map(
         lambda ts: BiPoly(modulus, {(i, j): c for i, j, c in ts})
     )
+
+
+class TestBinomialTerms:
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_matches_math_comb(self, q):
+        for n in range(q**3):
+            expect = [(i, math.comb(n, i) % q) for i in range(n + 1) if math.comb(n, i) % q]
+            assert sorted(binomial_terms(n, q)) == expect, n
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_one_plus_tau_is_a_power(self, q):
+        mod = PrimeModulus(q)
+        base = BiPoly(mod, {(0, 0): 1, (q - 1, 0): 1})
+        for n in range(q * q):
+            assert one_plus_tau(mod, n) == base**n, n
 
 
 class TestTotalPower:
