@@ -25,7 +25,7 @@ from ._version import __version__
 from .errors import ConsistencyError
 from .ffpoly import PrimeModulus, _is_prime
 from .homspace import HomProblem, hom_space, ma_space
-from .reps import f_of, filtration_rep
+from .reps import filtration_rep
 from .steenrod import h_poly, parameters
 
 __all__ = [
@@ -141,7 +141,7 @@ def _flag_walk(p: PrimeModulus, a: int, blocks: int) -> list[tuple[int, int, int
     rows = []
     for k in range(p.p + 1):
         rep = filtration_rep(p, blocks + 1, k)
-        dim = hom_space(HomProblem(p, f_of(rep), pars.delta, h)).dim
+        dim = hom_space(HomProblem(p, rep, pars.delta, h)).dim
         rows.append((k, rep.dim, dim))
     return rows
 

@@ -251,7 +251,7 @@ class BiPoly:
         return cls(modulus, {(i, j): c})
 
     @classmethod
-    def tau(cls, modulus: PrimeModulus) -> "BiPoly":
+    def t(cls, modulus: PrimeModulus) -> "BiPoly":
         return cls(modulus, {(1, 0): 1})
 
     @classmethod
@@ -287,10 +287,6 @@ class BiPoly:
     def terms(self) -> list[tuple[int, int, int]]:
         """(i, j, c) triples in the canonical monomial order."""
         return sorted(self.iterterms(), key=lambda t: (-t[1], -t[0]))
-
-    @property
-    def coefficients(self) -> dict[tuple[int, int], FpScalar]:
-        return {key: FpScalar(c, self.modulus) for key, c in self._coeffs.items()}
 
     def coefficient(self, i: int, j: int) -> FpScalar:
         return FpScalar(self._coeffs.get((i, j), 0), self.modulus)

@@ -1,8 +1,10 @@
 """Kernel spaces of the twisted power-operation congruence.
 
-A `HomProblem` fixes an odd prime p, a homogeneous polynomial f monic
-in x of x-degree d, a degree delta and a twist h in F_p[t] with nonzero
-constant term.  The associated linear map sends a homogeneous
+A `HomProblem` fixes an odd prime p, a representation V of dimension d
+(a multiset of weights mod p), a degree delta and a twist h in F_p[t]
+with nonzero constant term.  Its divisor is the split polynomial
+f = f(V) = prod over the weights w of (x - w t), homogeneous and monic
+in x of x-degree d.  The associated linear map sends a homogeneous
 polynomial m of degree delta to the remainder of P(m) - h*m under
 division by f; `hom_space` computes the kernel of that map on the
 domain basis
@@ -13,9 +15,9 @@ listed with the highest x-power first.  The kernel basis is returned in
 reduced echelon form with respect to that monomial order, so it is
 unique and deterministic.
 
-The divisor must split over F_p: f = prod_w (x - w t)^(e_w), which
-every divisor the engine builds does (`HomProblem` recovers the e_w
-from f(1, x) and rejects any other f).  The factors are pairwise
+So the divisor splits over F_p, f = prod_w (x - w t)^(e_w), and the
+problem carries the weights, each w with its multiplicity e_w in V.
+f itself is multiplied out only for output.  The factors are pairwise
 coprime, so f divides F = P(m) - h*m exactly when each (x - w t)^(e_w)
 does, and the map is never built as a matrix.  Instead, at each weight:
 
@@ -81,7 +83,7 @@ membership guarantees as they go.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -89,7 +91,7 @@ from operator import mul
 from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
-from .reps import f_of, filtration_rep, linear_factors, r_poly
+from .reps import Representation, f_of, filtration_rep, r_poly
 from .steenrod import SplitPoly, binomial_terms, h_poly, one_plus_tau, parameters, q_of_split
 
 __all__ = [
@@ -109,34 +111,32 @@ __all__ = [
 
 
 class HomProblem(Frozen):
-    """Input data for one kernel computation.
+    """Input data for one kernel computation: the divisor is f(rep), the
+    product of x - w t over the weights w of `rep`, repeats included."""
 
-    f must split into linear forms over F_p; `roots` holds (w, e_w) for
-    each root w of f(1, x), ascending, so that f = prod (x - w t)^e_w.
-    It is derived from f, so it is neither compared nor shown.
-    """
+    __slots__ = ("p", "rep", "delta", "h")
 
-    __slots__ = ("p", "f", "delta", "h", "roots")
-    _fields = ("p", "f", "delta", "h")
-
-    def __init__(self, p: PrimeModulus, f: BiPoly, delta: int, h: BiPoly):
-        if f.modulus != p or h.modulus != p:
+    def __init__(self, p: PrimeModulus, rep: Representation, delta: int, h: BiPoly):
+        if not isinstance(rep, Representation):
+            raise TypeError("the divisor is given by a Representation")
+        if rep.modulus != p or h.modulus != p:
             raise ValueError("modulus mismatch")
-        if not f.is_monic_in_x():
-            raise ValueError("f must be monic in x")
-        if not f.is_homogeneous():
-            raise ValueError("f must be homogeneous")
         if delta < 0:
             raise ValueError("delta must be non-negative")
         if h.x_degree() > 0:
             raise ValueError("h must be a polynomial in t alone")
         if not h.coefficient(0, 0):
             raise ValueError("h must have nonzero constant term")
-        self._set(p, f, delta, h, linear_factors(f))
+        self._set(p, rep, delta, h)
+
+    @property
+    def f(self) -> BiPoly:
+        """The divisor f(rep), multiplied out."""
+        return f_of(self.rep)
 
     def x_bound(self) -> int:
         """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
-        return min(self.delta, self.f.x_degree() - 1)
+        return min(self.delta, self.rep.dim - 1)
 
     def domain_monomials(self) -> tuple[tuple[int, int], ...]:
         """(t-exp, x-exp) pairs of the domain basis, highest x-power first."""
@@ -251,7 +251,7 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
     vanishing = _vanishing_identity(problem)
     systems: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}  # (e_w, rho) -> local rows
     rows = []
-    for w, e in problem.roots:
+    for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
         # taylor[k][j] = C(j, k) w^(j - k), the coefficient of c_j in c^w_k,
         # by C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)
         taylor = [list(accumulate(range(top), lambda acc, _: w * acc % p, initial=1))]
@@ -349,9 +349,8 @@ def hom_space(problem: HomProblem) -> HomSpace:
 
 
 def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
-    pars = parameters(p, a)
-    f = f_of(filtration_rep(p, a, (p.p + 1) // 2))
-    return HomProblem(p, f, pars.delta, h_poly(p, a))
+    rep = filtration_rep(p, a, (p.p + 1) // 2)
+    return HomProblem(p, rep, parameters(p, a).delta, h_poly(p, a))
 
 
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:

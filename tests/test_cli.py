@@ -82,18 +82,19 @@ class TestVerify:
     def test_each_level_built_once(self, capsys, monkeypatch):
         levels = []
         builds = []
-        real_f_of, real_level_rows = homspace.f_of, homspace._level_rows
+        real_filtration_rep, real_level_rows = homspace.filtration_rep, homspace._level_rows
 
-        def counting_f_of(rep):
+        def counting_filtration_rep(p, a, k):
+            rep = real_filtration_rep(p, a, k)
             levels.append(len(rep.weights))
-            return real_f_of(rep)
+            return rep
 
         def counting_level_rows(problem):
-            builds.append(problem.f.x_degree())
+            builds.append(problem.rep.dim)
             return real_level_rows(problem)
 
         homspace._level.cache_clear()
-        monkeypatch.setattr(homspace, "f_of", counting_f_of)
+        monkeypatch.setattr(homspace, "filtration_rep", counting_filtration_rep)
         monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
         assert code == 0

@@ -122,7 +122,7 @@ class TestBiPoly:
         assert BiPoly.zero(P3).is_zero()
 
     def test_named_constructors(self):
-        assert BiPoly.tau(P3) == BiPoly.monomial(P3, 1, 0)
+        assert BiPoly.t(P3) == BiPoly.monomial(P3, 1, 0)
         assert BiPoly.x(P3) == BiPoly.monomial(P3, 0, 1)
         assert BiPoly.one(P3) == BiPoly.const(P3, 1)
 
@@ -160,7 +160,7 @@ class TestBiPoly:
 
     def test_freshman_dream(self):
         # (t + x)^p == t^p + x^p mod p
-        s = BiPoly.tau(P5) + BiPoly.x(P5)
+        s = BiPoly.t(P5) + BiPoly.x(P5)
         assert s**5 == BiPoly(P5, {(5, 0): 1, (0, 5): 1})
 
 

@@ -25,8 +25,8 @@ from powker.homspace import (
     verify_qr_identity,
     verify_substitution_identity,
 )
-from powker.reps import Representation, f_of, filtration_rep, r_poly
-from powker.steenrod import h_poly, parameters, total_power
+from powker.reps import Representation, filtration_rep, r_poly
+from powker.steenrod import h_poly, one_plus_tau, parameters, total_power
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -35,55 +35,44 @@ P7 = PrimeModulus(7)
 
 class TestHomProblem:
     def test_validation(self):
-        r = r_poly(P3)
+        r = Representation.regular(P3)
         h = h_poly(P3, 2)
-        with pytest.raises(ValueError):
-            HomProblem(P3, BiPoly(P3, {(0, 2): 2}), 3, h)  # not monic
         with pytest.raises(ValueError):
             HomProblem(P3, r, -1, h)
         with pytest.raises(ValueError):
             HomProblem(P3, r, 3, BiPoly.x(P3))  # twist must be in t alone
         with pytest.raises(ValueError):
-            HomProblem(P3, r, 3, BiPoly.tau(P3))  # twist needs a constant term
+            HomProblem(P3, r, 3, BiPoly.t(P3))  # twist needs a constant term
         with pytest.raises(ValueError):
-            HomProblem(P3, r_poly(P5), 3, h)
-
-    def test_rejects_divisor_that_does_not_split(self):
-        # 2 is not a square mod 5, so x^2 - 2t^2 has no linear factor over F_5
-        with pytest.raises(ValueError, match="split"):
-            HomProblem(P5, BiPoly(P5, {(0, 2): 1, (2, 0): -2}), 3, h_poly(P5, 2))
-        # x^2 - 4t^2 = (x - 2t)(x - 3t) splits
-        prob = HomProblem(P5, BiPoly(P5, {(0, 2): 1, (2, 0): -4}), 3, h_poly(P5, 2))
-        assert prob.roots == ((2, 1), (3, 1))
-
-    def test_roots_carry_multiplicities(self):
-        prob = HomProblem(P3, f_of(filtration_rep(P3, 3, 2)), 4, h_poly(P3, 3))
-        assert prob.roots == ((0, 3), (1, 3), (2, 2))
-        assert HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2)).roots == ()
+            HomProblem(P3, Representation.regular(P5), 3, h)
+        with pytest.raises(TypeError):
+            HomProblem(P3, r_poly(P3), 3, h)  # the divisor is its weights, not f
 
     @pytest.mark.parametrize("q", [1000003, 2**61 - 1])
-    def test_roots_at_large_primes(self, q):
-        # the roots come from gcd(f(1, x), x^p - x), so a root near p costs
-        # no more than a small one
+    def test_weights_at_large_primes(self, q):
+        # weights near p and residues of more than one byte, in the Taylor
+        # functionals and the packed rows
         mod = PrimeModulus(q)
 
         def linear(w):
             return BiPoly(mod, {(0, 1): 1, (1, 0): -w})
 
-        h = BiPoly.one(mod)
-        assert HomProblem(mod, linear(-1), 2, h).roots == ((q - 1, 1),)
+        rep = Representation(mod, (2, 2, 5, q - 1, q - 1, q - 1))
         f = linear(2) ** 2 * linear(5) * linear(-1) ** 3
-        assert HomProblem(mod, f, 2, h).roots == ((2, 2), (5, 1), (q - 1, 3))
-        # -1 is not a square mod q (q = 3 mod 4), so x^2 + t^2 does not split
-        with pytest.raises(ValueError, match="split"):
-            HomProblem(mod, f * BiPoly(mod, {(0, 2): 1, (2, 0): 1}), 2, h)
+        assert HomProblem(mod, rep, 2, BiPoly.one(mod)).f == f
+        # six conditions on the values and derivatives at the weights cut
+        # the quintics in x to 0
+        assert hom_space(HomProblem(mod, rep, 5, BiPoly.one(mod))).dim == 0
+        # h = (1 + tau)^3 frees D^2 at w = -1: the kernel is spanned by f / (x + t)
+        space = hom_space(HomProblem(mod, rep, 5, one_plus_tau(mod, 3)))
+        assert space.basis == (linear(2) ** 2 * linear(5) * linear(-1) ** 2,)
 
     def test_domain_order_and_truncation(self):
         # delta below the divisor degree: no truncation
-        prob = HomProblem(P3, r_poly(P3) ** 2, 3, h_poly(P3, 2))
+        prob = HomProblem(P3, Representation(P3, tuple(range(3)) * 2), 3, h_poly(P3, 2))
         assert prob.domain_monomials() == ((0, 3), (1, 2), (2, 1), (3, 0))
         # delta above: x-exponent capped at deg_x f - 1
-        prob = HomProblem(P3, r_poly(P3), 3, h_poly(P3, 2))
+        prob = HomProblem(P3, Representation.regular(P3), 3, h_poly(P3, 2))
         assert prob.domain_monomials() == ((1, 2), (2, 1), (3, 0))
 
 
@@ -119,14 +108,14 @@ class TestGoldenSpaces:
 
     def test_full_regular_divisor_cuts_to_family_span(self):
         # demanding divisibility by r^a instead keeps only the family span
-        prob = HomProblem(P5, r_poly(P5) ** 2, 6, h_poly(P5, 2))
+        prob = HomProblem(P5, Representation(P5, tuple(range(5)) * 2), 6, h_poly(P5, 2))
         space = hom_space(prob)
         assert space.dim == 3
         for k in range(3):
             assert contains(space, family_element(P5, k))
 
     def test_single_regular_block_p3(self):
-        prob = HomProblem(P3, r_poly(P3), 3, h_poly(P3, 2))
+        prob = HomProblem(P3, Representation.regular(P3), 3, h_poly(P3, 2))
         assert hom_space(prob).dim == 3
 
     def test_shifted_level_is_r_times_lower(self):
@@ -360,16 +349,13 @@ class TestColumnAssembly:
     )
     def test_operator_matches_generic(self, q, a, k):
         mod = PrimeModulus(q)
-        prob = HomProblem(mod, f_of(filtration_rep(mod, a, k)), parameters(mod, a).delta, h_poly(mod, a))
+        prob = HomProblem(mod, filtration_rep(mod, a, k), parameters(mod, a).delta, h_poly(mod, a))
         assert hom_space(prob).equations == _oracle_equations(prob)
 
-    def test_inhomogeneous_divisor_uses_generic_path(self):
-        # there is no generic division path: an inhomogeneous divisor is refused
-        h = h_poly(P3, 2)
-        with pytest.raises(ValueError, match="homogeneous"):
-            HomProblem(P3, BiPoly(P3, {(0, 3): 1, (1, 0): -1}), 3, h)  # x^3 - t
-        # its homogenisation (x - t)^3 goes through the local systems and agrees with the oracle
-        prob = HomProblem(P3, BiPoly(P3, {(0, 3): 1, (3, 0): -1}), 3, h)  # x^3 - t^3
+    def test_triple_weight_divisor(self):
+        # (x - t)^3 = x^3 - t^3 mod 3 goes through the local systems and agrees with the oracle
+        prob = HomProblem(P3, Representation(P3, (1, 1, 1)), 3, h_poly(P3, 2))
+        assert prob.f == BiPoly(P3, {(0, 3): 1, (3, 0): -1})
         space = hom_space(prob)
         assert space.equations == _oracle_equations(prob)
         for b in space.basis:
@@ -388,20 +374,19 @@ class TestColumnAssembly:
         f = BiPoly.one(mod)
         for w in (1, 2, 5):
             f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
-        prob = HomProblem(mod, f, 4, BiPoly(mod, {(0, 0): 1, (256, 0): 3}))
-        assert prob.roots == ((1, 1), (2, 1), (5, 1))
+        prob = HomProblem(mod, Representation(mod, (1, 2, 5)), 4, BiPoly(mod, {(0, 0): 1, (256, 0): 3}))
+        assert prob.f == f
         assert hom_space(prob).equations == _oracle_equations(prob)
 
     def test_million_prime_linear_divisor(self):
         # one column at p = 1000003, where a table of all p binomial rows
         # does not fit in memory
         mod = PrimeModulus(1000003)
-        prob = HomProblem(mod, BiPoly(mod, {(0, 1): 1, (1, 0): -1}), 2, BiPoly.one(mod))
-        assert prob.roots == ((1, 1),)
+        prob = HomProblem(mod, Representation(mod, (1,)), 2, BiPoly.one(mod))
         assert hom_space(prob).dim == 0
 
     def test_empty_domain_contains_only_zero(self):
-        prob = HomProblem(P3, BiPoly.one(P3), 3, h_poly(P3, 2))  # deg_x f = 0
+        prob = HomProblem(P3, Representation(P3, ()), 3, h_poly(P3, 2))  # deg_x f = 0
         space = hom_space(prob)
         assert prob.domain_monomials() == () and space.dim == 0
         assert contains(space, BiPoly.zero(P3))
@@ -446,12 +431,10 @@ def _divisor_problems(draw):
     mod = PrimeModulus(q)
     weights = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6))
     blocks = draw(st.integers(0, 2 if q < 7 else 1))
-    f = r_poly(mod) ** blocks
-    for w in weights:
-        f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
+    rep = Representation(mod, tuple(range(q)) * blocks + tuple(weights))
     a = draw(st.integers(2, 3))
     delta = draw(st.integers(0, parameters(mod, a).delta))
-    return HomProblem(mod, f, delta, h_poly(mod, a))
+    return HomProblem(mod, rep, delta, h_poly(mod, a))
 
 
 class TestOperatorProperties:
@@ -490,15 +473,15 @@ def _split_problems(draw):
     mults: list[int] = []
     for later in range(len(weights) - 1, -1, -1):  # leave at least 1 for each later weight
         mults.append(draw(st.integers(1, min(2 * q + 2, 3 * (q + 1) - sum(mults) - later))))
-    f = f_of(Representation(mod, tuple(w for w, e in zip(weights, mults) for _ in range(e))))
-    delta = draw(st.integers(0, f.x_degree() + q))
+    rep = Representation(mod, tuple(w for w, e in zip(weights, mults) for _ in range(e)))
+    delta = draw(st.integers(0, rep.dim + q))
     if draw(st.booleans()):
-        n = draw(st.integers(-1, min(delta, f.x_degree() - 1) + 1))
-        return HomProblem(mod, f, delta, _tau_power(mod, max(delta - n, 0)))
+        n = draw(st.integers(-1, min(delta, rep.dim - 1) + 1))
+        return HomProblem(mod, rep, delta, _tau_power(mod, max(delta - n, 0)))
     terms = draw(st.dictionaries(st.integers(1, 3 * q), st.integers(0, q - 1), max_size=3))
     terms[0] = draw(st.integers(1, q - 1))
     h = BiPoly(mod, {(g, 0): c for g, c in terms.items()})
-    return HomProblem(mod, f, delta, h)
+    return HomProblem(mod, rep, delta, h)
 
 
 def _tau_power(mod: PrimeModulus, n: int) -> BiPoly:
@@ -509,8 +492,8 @@ def _tau_power(mod: PrimeModulus, n: int) -> BiPoly:
 class TestWeightLocalSystems:
     # (x - t)^4 at p = 3 and x^6 at p = 5: the identity for n = p couples
     # c^w_p with c^w_1 through its s = 1 term
-    @example(prob=HomProblem(P3, BiPoly(P3, {(0, 1): 1, (1, 0): -1}) ** 4, 1, BiPoly.one(P3)))
-    @example(prob=HomProblem(P5, BiPoly.x(P5) ** 6, 2, BiPoly(P5, {(0, 0): 1, (4, 0): 1})))
+    @example(prob=HomProblem(P3, Representation(P3, (1,) * 4), 1, BiPoly.one(P3)))
+    @example(prob=HomProblem(P5, Representation(P5, (0,) * 6), 2, BiPoly(P5, {(0, 0): 1, (4, 0): 1})))
     @settings(max_examples=60, deadline=None)
     @given(prob=_split_problems())
     def test_equations_match_oracle(self, prob):
@@ -536,11 +519,10 @@ class TestWeightLocalSystems:
     def test_carried_kernel(self, q, e, delta, n):
         mod = PrimeModulus(q)
         for w in (0, 1):
-            f = BiPoly(mod, {(0, 1): 1, (1, 0): -w}) ** e
-            prob = HomProblem(mod, f, delta, _tau_power(mod, delta - n))
+            prob = HomProblem(mod, Representation(mod, (w,) * e), delta, _tau_power(mod, delta - n))
             space = hom_space(prob)
             assert space.equations == _oracle_equations(prob)
-            assert space.dim == kernel_nullity(q, _as_dict(f), delta, _as_dict(prob.h))
+            assert space.dim == kernel_nullity(q, _as_dict(prob.f), delta, _as_dict(prob.h))
 
 
 class TestOracleAgreement:
@@ -557,5 +539,5 @@ class TestOracleAgreement:
     def test_flag_dims(self, q, a, k):
         mod = PrimeModulus(q)
         pars = parameters(mod, a)
-        prob = HomProblem(mod, f_of(filtration_rep(mod, a, k)), pars.delta, h_poly(mod, a))
+        prob = HomProblem(mod, filtration_rep(mod, a, k), pars.delta, h_poly(mod, a))
         assert hom_space(prob).dim == kernel_nullity(q, _as_dict(prob.f), pars.delta, _as_dict(prob.h))

@@ -1,13 +1,11 @@
 """Tests for weight lists, split polynomials of representations, flags."""
 
-from collections import Counter
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from powker.ffpoly import BiPoly, PrimeModulus
-from powker.reps import Representation, chern_classes, f_of, filtration_rep, linear_factors, r_poly
+from powker.reps import Representation, chern_classes, f_of, filtration_rep, r_poly
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -35,6 +33,13 @@ class TestRepresentation:
     def test_json_round_trip(self):
         v = Representation(P5, (1, 1, 4))
         assert Representation.from_json(v.to_json()) == v
+
+    @pytest.mark.parametrize("weights", [(1.5, 2), (True,), (2.0,), ("2",)])
+    def test_weights_must_be_integers(self, weights):
+        with pytest.raises(ValueError, match="integers"):
+            Representation(P5, weights)
+        with pytest.raises(ValueError, match="integers"):
+            Representation.from_json({"p": 5, "weights": list(weights)})
 
 
 class TestSplitPolynomials:
@@ -77,16 +82,6 @@ class TestSplitPolynomials:
         for w in ws:
             product = product * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
         assert f_of(Representation(mod, tuple(ws))) == product
-
-    @given(
-        q=st.sampled_from([3, 5, 13, 101, 1000003]),
-        ws=st.lists(st.integers(min_value=-20, max_value=40), max_size=12),
-    )
-    def test_linear_factors_invert_f_of(self, q, ws):
-        # p <= deg_x f tries every w; larger p, as at 101 and 1000003, goes
-        # through gcd(f(1, x), x^p - x), with weights near p from the negatives
-        v = Representation(PrimeModulus(q), tuple(ws))
-        assert linear_factors(f_of(v)) == tuple(Counter(v.weights).items())
 
     def test_chern_values(self):
         e = chern_classes(Representation(P5, (1, 2)))

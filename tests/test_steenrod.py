@@ -50,7 +50,7 @@ class TestBinomialTerms:
 
 class TestTotalPower:
     def test_generators(self):
-        assert total_power(BiPoly.tau(P5)) == BiPoly(P5, {(1, 0): 1, (5, 0): 1})
+        assert total_power(BiPoly.t(P5)) == BiPoly(P5, {(1, 0): 1, (5, 0): 1})
         assert total_power(BiPoly.x(P5)) == BiPoly(P5, {(0, 1): 1, (0, 5): 1})
         assert total_power(BiPoly.one(P5)) == BiPoly.one(P5)
         assert total_power(BiPoly.zero(P5)).is_zero()
