@@ -11,14 +11,16 @@ dimension into an Ext count ext11 = p - hom_dim.
 torsion subgroup: the proven window is 1 <= rank <= (p+1)/2, the value
 observed at the algebraic level is rank_e2 = p - dim, and rank_e2 == 1
 is the single-summand (Z/p) outcome.  `sweep` runs rank reports over
-every pair (p, a) with p*a below a budget, optionally in parallel; the
-report content is deterministic and independent of the worker count.
+every pair (p, a) with p*a below a budget, in a process pool when the
+estimated work repays one; the report content is deterministic and
+independent of the worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from math import isqrt
 from typing import NamedTuple
 
 from ._version import __version__
@@ -221,12 +223,25 @@ def _sweep_row(pair: tuple[int, int]) -> SweepRow:
 
 
 def _pair_cost(pair: tuple[int, int]) -> int:
-    # The level degree delta = p*a - (p+3)/2 is one less than the number
-    # of domain columns; a rank report's time grows with it (its rank
-    # order matches row times measured at max_pa 60, best of 5 serial
-    # sweeps, with Spearman 0.97).
+    # Estimated row time in units of about 0.011 ms: floor(delta^1.5) for the
+    # level degree delta = p*a - (p+3)/2, one less than the number of domain
+    # columns.  Fitted to serial row times to max_pa 150 (best of 5, in
+    # process), a free exponent gives ms ~ 0.0161 delta^1.41 with log residual
+    # sd 0.30; delta^1.5 gives sd 0.31, and adding p gives 0.29.  Spearman
+    # 0.98.  Summed, the estimate reads 33/106/233/443/1338 ms against serial
+    # totals of 33/87/197/400/1413 ms at max_pa 40/60/80/100/150.
     q, a = pair
-    return parameters(PrimeModulus(q), a).delta
+    return isqrt(parameters(PrimeModulus(q), a).delta ** 3)
+
+
+# A pool worker must get at least this much estimated work.  Median wall s
+# of launched sweeps, 7 alternating pairs (9 at 80 and 84), on 2 vCPUs:
+#   max_pa       40     60     80     84    100    130
+#   work       2933   9389  20702  23285  39401  80491
+#   --jobs 2  0.239  0.281  0.326  0.309  0.462  0.775
+#   --jobs 1  0.145  0.234  0.330  0.371  0.559  0.936
+# Two workers break even at about max_pa 80, about 21000 units.
+POOL_BREAK_EVEN = 11000
 
 
 def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
@@ -234,8 +249,10 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
     computed by a process pool of at most min(parallelism, pairs, CPUs)
-    workers, counting only the CPUs this process may run on.  The pool
-    gets the pairs costliest first, by an estimate from (p, a), so that
+    workers, counting only the CPUs this process may run on, and only as
+    many as the estimated work repays (POOL_BREAK_EVEN each), so a sweep
+    too small for two workers runs in this process.  The pool gets the
+    pairs costliest first, by the same estimate from (p, a), so that
     no worker idles while the largest pair runs last; the merged report
     is in (p, a) order and does not depend on the worker count (timings
     aside).
@@ -249,7 +266,8 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(parallelism, len(pairs), cpus)
+    est_work = sum(map(_pair_cost, pairs))
+    workers = min(parallelism, len(pairs), cpus, est_work // POOL_BREAK_EVEN)
     if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:

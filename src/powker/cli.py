@@ -73,7 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="rank reports for every (p, a) with p*a <= budget")
     sw.add_argument("--max-pa", type=int, required=True, dest="max_pa", help="budget for p*a")
-    sw.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    sw.add_argument(
+        "--jobs", type=int, default=1,
+        help="at most this many worker processes; a sweep too small to repay a pool runs in one process",
+    )
     sw.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sw.add_argument("--out", help="write output to this file instead of stdout")
     return parser

@@ -274,7 +274,7 @@ class BiPoly:
             return -1
         return max(j for _i, j in self._coeffs)
 
-    def tau_degree(self) -> int:
+    def t_degree(self) -> int:
         if not self._coeffs:
             return -1
         return max(i for i, _j in self._coeffs)

@@ -228,7 +228,7 @@ def _vanishing_identity(problem: HomProblem) -> int | None:
 
     (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
     """
-    power, rest = divmod(problem.h.tau_degree(), problem.p.p - 1)
+    power, rest = divmod(problem.h.t_degree(), problem.p.p - 1)
     n = problem.delta - power
     if rest or not 0 <= n <= problem.x_bound():
         return None

@@ -110,12 +110,12 @@ def h_poly(p: PrimeModulus, a: int) -> BiPoly:
 
 
 class SplitPoly(Frozen):
-    """A split polynomial unit * t^tau_power * prod_j (x - factors[j] * t)."""
+    """A split polynomial unit * t^t_power * prod_j (x - factors[j] * t)."""
 
-    __slots__ = ("modulus", "unit", "factors", "tau_power")
+    __slots__ = ("modulus", "unit", "factors", "t_power")
 
     def __init__(self, modulus: PrimeModulus, unit: FpScalar, factors: tuple[FpScalar, ...],
-                 tau_power: int = 0):
+                 t_power: int = 0):
         if isinstance(unit, int):
             unit = FpScalar(unit, modulus)
         if unit.modulus != modulus:
@@ -126,12 +126,12 @@ class SplitPoly(Frozen):
         for f in factors:
             if f.modulus != modulus:
                 raise ValueError("modulus mismatch")
-        if tau_power < 0:
-            raise ValueError("tau_power must be non-negative")
-        self._set(modulus, unit, factors, tau_power)
+        if t_power < 0:
+            raise ValueError("t_power must be non-negative")
+        self._set(modulus, unit, factors, t_power)
 
     def expand(self) -> BiPoly:
-        out = BiPoly.monomial(self.modulus, self.tau_power, 0, self.unit.value)
+        out = BiPoly.monomial(self.modulus, self.t_power, 0, self.unit.value)
         for k in self.factors:
             out = out * BiPoly(self.modulus, {(0, 1): 1, (1, 0): -k.value})
         return out
@@ -141,7 +141,7 @@ def q_of_split(m: SplitPoly) -> BiPoly:
     """The polynomial quotient P(expand(m)) / expand(m)."""
     mod = m.modulus
     p = mod.p
-    out = one_plus_tau(mod, m.tau_power)
+    out = one_plus_tau(mod, m.t_power)
     for k in m.factors:
         linear = BiPoly(mod, {(0, 1): 1, (1, 0): -k.value})
         out = out * (BiPoly.one(mod) + linear ** (p - 1))

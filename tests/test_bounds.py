@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import powker
-from powker import __version__
+from powker import __version__, bounds
 from powker.bounds import (
     ORDER_STATEMENT,
+    _pair_cost,
     _sweep_pairs,
     filtration_table,
     pre_filtration_dims,
@@ -105,6 +106,31 @@ def _without_ms(report) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in pool that records its arguments and the pairs it is given,
+    and maps in this process, so no worker is ever started."""
+    pools = []
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, **kwargs):
+            pools.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            submitted.append(list(items))
+            return map(fn, submitted[-1])
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools, submitted
+
+
 class TestSweep:
     def test_pair_enumeration(self):
         assert _sweep_pairs(6) == [(3, 2)]
@@ -133,17 +159,17 @@ class TestSweep:
         assert all(r.report.conjecture_zp for r in report.rows)
         assert report.engine.startswith("powker/")
 
-    def test_engine_label(self):
+    def test_engine_label(self, pool_at_any_work):
         engine = f"powker/{__version__} (python)"
         assert sweep(12, parallelism=1).engine == sweep(12, parallelism=2).engine == engine
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, pool_at_any_work):
         serial = sweep(12, parallelism=1)
         parallel = sweep(12, parallelism=3)
         assert _without_ms(serial) == _without_ms(parallel)
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_start_methods_match_serial(self, monkeypatch, method):
+    def test_start_methods_match_serial(self, monkeypatch, pool_at_any_work, method):
         # rows come back from the workers pickled: SweepRow -> RankReport -> PrimeModulus
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
@@ -163,32 +189,13 @@ class TestSweep:
         assert all(type(row.report.p) is PrimeModulus for row in report.rows)
         assert report.engine == serial.engine
 
-    def test_worker_count_is_clamped(self, monkeypatch):
-        # a stand-in pool that records its arguments and maps in this
-        # process, so no worker is ever started
-        pools = []
-        submitted = []
-
-        class RecordingPool:
-            def __init__(self, **kwargs):
-                pools.append(kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                submitted.append(list(items))
-                return map(fn, submitted[-1])
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_is_clamped(self, monkeypatch, recording_pool, pool_at_any_work):
+        pools, submitted = recording_pool
         # first a platform without affinity masks, where the host's CPU count is used
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         serial = sweep(12, parallelism=1)
-        report = sweep(12, parallelism=100000)  # 6 pairs, 4 CPUs
+        report = sweep(12, parallelism=100000)  # 4 pairs, 4 CPUs
         assert [(r.report.p.p, r.report.a) for r in report.rows] == [
             (r.report.p.p, r.report.a) for r in serial.rows
         ]
@@ -214,6 +221,42 @@ class TestSweep:
         sweep(12, parallelism=100000)  # one usable CPU: serial
         assert len(pools) == 3
 
+    def test_below_break_even_starts_no_pool(self, monkeypatch, recording_pool):
+        pools, _submitted = recording_pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        serial = sweep(60, parallelism=1)
+        report = sweep(60, parallelism=2)
+        assert pools == []
+        assert _without_ms(report) == _without_ms(serial)
+        # every worker must get POOL_BREAK_EVEN of the estimated work
+        work = sum(map(_pair_cost, _sweep_pairs(12)))
+        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 2 + 1)
+        sweep(12, parallelism=8)
+        assert pools == []
+        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 2)
+        sweep(12, parallelism=8)
+        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 3)
+        sweep(12, parallelism=8)
+        assert pools == [{"max_workers": 2}, {"max_workers": 3}]
+
+    def test_work_estimate_matches_the_break_even_table(self):
+        # the summed work of the table beside POOL_BREAK_EVEN; two workers
+        # first start between max_pa 80 and 84, where they broke even
+        sizes = (40, 60, 80, 84, 100, 130)
+        work = [sum(map(_pair_cost, _sweep_pairs(m))) for m in sizes]
+        assert work == [2933, 9389, 20702, 23285, 39401, 80491]
+        assert work[2] // bounds.POOL_BREAK_EVEN == 1 < 2 == work[3] // bounds.POOL_BREAK_EVEN
+        assert [_pair_cost(pair) for pair in [(3, 2), (3, 3), (5, 2), (3, 4)]] == [5, 14, 14, 27]
+
+    def test_above_break_even_pool_is_min_of_jobs_and_cpus(self, monkeypatch, recording_pool):
+        pools, submitted = recording_pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert sum(map(_pair_cost, _sweep_pairs(100))) // bounds.POOL_BREAK_EVEN >= 3
+        report = sweep(100, parallelism=3)
+        assert pools == [{"max_workers": 2}]
+        assert sorted(submitted[0]) == _sweep_pairs(100)
+        assert [(r.report.p.p, r.report.a) for r in report.rows] == _sweep_pairs(100)
+
     def test_serialization(self):
         report = sweep(10, parallelism=1)
         data = report.to_json()
@@ -230,8 +273,8 @@ class TestSweep:
         assert len(rows) == len(report.rows)
 
 
-def test_cli_import_leaves_out_the_pool():
-    # only a parallel sweep imports concurrent.futures, and with it logging;
+def test_cli_import_leaves_out_the_pool(tmp_path):
+    # only a pooled sweep imports concurrent.futures, and with it logging;
     # no module imports dataclasses, which brings in inspect; the CLI never
     # loads the benchmark's kernel shim
     left_out = "{'concurrent.futures', 'logging', 'dataclasses', 'inspect', 'powker._kernel'}"
@@ -240,3 +283,11 @@ def test_cli_import_leaves_out_the_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # a sweep too small to repay a pool runs in process, whatever --jobs says
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--max-pa", "60", "--jobs", "2", "--out", str(out)]
+    code = f"import sys, powker.cli; powker.cli.main({argv!r}); print(sorted({left_out} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(json.loads(out.read_text())["rows"]) == len(_sweep_pairs(60))

@@ -161,12 +161,12 @@ class TestSweep:
         assert code == 0
         assert "dim_ma" in out
 
-    def test_engine_label(self, capsys):
+    def test_engine_label(self, capsys, pool_at_any_work):
         code, out, _ = run_cli(capsys, "sweep", "--max-pa", "12", "--jobs", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["engine"] == f"powker/{__version__} (python)"
 
-    def test_jobs_do_not_change_output(self, capsys):
+    def test_jobs_do_not_change_output(self, capsys, pool_at_any_work):
         def stripped(argv):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0

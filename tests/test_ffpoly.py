@@ -118,7 +118,7 @@ class TestBiPoly:
         m = BiPoly(P3, {(2, 1): 1, (0, 2): 2})
         assert m.degree() == 3
         assert m.x_degree() == 2
-        assert m.tau_degree() == 2
+        assert m.t_degree() == 2
         assert BiPoly.zero(P3).is_zero()
 
     def test_named_constructors(self):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from powker import bounds
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "stdout_digest.py"
 
 
@@ -27,13 +29,16 @@ def test_strip_ms_blanks_only_the_timings():
 
 def _sweep_digest(jobs: str) -> str:
     out = subprocess.run(
-        [sys.executable, str(SCRIPT), "--", "sweep", "--max-pa", "12", "--jobs", jobs],
+        [sys.executable, str(SCRIPT), "--", "sweep", "--max-pa", "100", "--jobs", jobs],
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     sha, command = out.rstrip("\n").split("  ", 1)
-    assert command == f"sweep --max-pa 12 --jobs {jobs}"
+    assert command == f"sweep --max-pa 100 --jobs {jobs}"
     return sha
 
 
 def test_sweep_digest_is_independent_of_jobs():
+    # max_pa 100 has enough estimated work for a pool of two workers
+    work = sum(map(bounds._pair_cost, bounds._sweep_pairs(100)))
+    assert work // bounds.POOL_BREAK_EVEN >= 2
     assert _sweep_digest("1") == _sweep_digest("2")

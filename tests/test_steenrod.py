@@ -124,7 +124,7 @@ def split_polys(modulus):
 
 class TestSplitPoly:
     def test_expand(self):
-        m = SplitPoly(P3, 2, (0, 1), tau_power=1)
+        m = SplitPoly(P3, 2, (0, 1), t_power=1)
         # 2t * x * (x - t)
         assert m.expand() == BiPoly(P3, {(1, 2): 2, (2, 1): 1})
 
@@ -132,7 +132,7 @@ class TestSplitPoly:
         with pytest.raises(ValueError):
             SplitPoly(P3, 0, ())
         with pytest.raises(ValueError):
-            SplitPoly(P3, 1, (), tau_power=-1)
+            SplitPoly(P3, 1, (), t_power=-1)
 
     @given(m=split_polys(P5))
     @settings(deadline=None, max_examples=40)

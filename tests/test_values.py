@@ -38,9 +38,9 @@ CASES = {
     ),
     "SplitPoly": (
         lambda v: SplitPoly(P3, 1, (0, 2), v),
-        "tau_power",
+        "t_power",
         "SplitPoly(modulus=PrimeModulus(p=3), unit=FpScalar(1 mod 3), "
-        "factors=(FpScalar(0 mod 3), FpScalar(2 mod 3)), tau_power=0)",
+        "factors=(FpScalar(0 mod 3), FpScalar(2 mod 3)), t_power=0)",
     ),
     "Representation": (
         lambda v: Representation(P3, (4, v)),
