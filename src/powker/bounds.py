@@ -234,28 +234,29 @@ def _pair_cost(pair: tuple[int, int]) -> int:
     return isqrt(parameters(PrimeModulus(q), a).delta ** 3)
 
 
-# A pool worker must get at least this much estimated work.  Median wall s
+# A sweep starts a pool only from this much estimated work.  Median wall s
 # of launched sweeps, 7 alternating pairs (9 at 80 and 84), on 2 vCPUs:
 #   max_pa       40     60     80     84    100    130
 #   work       2933   9389  20702  23285  39401  80491
 #   --jobs 2  0.239  0.281  0.326  0.309  0.462  0.775
 #   --jobs 1  0.145  0.234  0.330  0.371  0.559  0.936
-# Two workers break even at about max_pa 80, about 21000 units.
-POOL_BREAK_EVEN = 11000
+# Two workers break even at about max_pa 80, about 21000 units.  Only
+# that break-even was measured: above it the pool keeps every worker that
+# --jobs, the pairs and the CPUs allow.
+POOL_BREAK_EVEN = 22000
 
 
 def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa.
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
-    computed by a process pool of at most min(parallelism, pairs, CPUs)
-    workers, counting only the CPUs this process may run on, and only as
-    many as the estimated work repays (POOL_BREAK_EVEN each), so a sweep
-    too small for two workers runs in this process.  The pool gets the
-    pairs costliest first, by the same estimate from (p, a), so that
-    no worker idles while the largest pair runs last; the merged report
-    is in (p, a) order and does not depend on the worker count (timings
-    aside).
+    computed by a process pool of min(parallelism, pairs, CPUs) workers,
+    counting only the CPUs this process may run on, but only when their
+    estimated work reaches POOL_BREAK_EVEN; a sweep too small to repay a
+    pool runs in this process.  The pool gets the pairs costliest first,
+    by the same estimate from (p, a), so that no worker idles while the
+    largest pair runs last; the merged report is in (p, a) order and does
+    not depend on the worker count (timings aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
@@ -266,15 +267,18 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    est_work = sum(map(_pair_cost, pairs))
-    workers = min(parallelism, len(pairs), cpus, est_work // POOL_BREAK_EVEN)
+    workers = min(parallelism, len(pairs), cpus)
+    if workers > 1:
+        cost = {pair: _pair_cost(pair) for pair in pairs}
+        if sum(cost.values()) < POOL_BREAK_EVEN:  # too little work to repay a pool
+            workers = 1
     if workers <= 1:
         rows = [_sweep_row(pair) for pair in pairs]
     else:
         import concurrent.futures  # only a parallel sweep pays for the pool's imports
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            longest_first = sorted(pairs, key=_pair_cost, reverse=True)
+            longest_first = sorted(pairs, key=cost.__getitem__, reverse=True)
             done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))
         rows = [done[pair] for pair in pairs]
     engine = f"powker/{__version__} (python)"

@@ -163,7 +163,8 @@ def test_criterion_7_oracle_equivalence():
     _record(7, "oracle equivalence for pa <= 21", time.perf_counter() - start, 60.0)
 
 
-def test_criterion_8_determinism(sweep50):
+def test_criterion_8_determinism(sweep50, pool_at_any_work):
+    # the fixture lets jobs 4 and 8 start a pool at this size
     serial, _ = sweep50
     start = time.perf_counter()
 

@@ -228,16 +228,16 @@ class TestSweep:
         report = sweep(60, parallelism=2)
         assert pools == []
         assert _without_ms(report) == _without_ms(serial)
-        # every worker must get POOL_BREAK_EVEN of the estimated work
+        # the pool starts once the summed estimate reaches POOL_BREAK_EVEN,
+        # and then with every worker that the jobs, pairs and CPUs allow
         work = sum(map(_pair_cost, _sweep_pairs(12)))
-        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 2 + 1)
+        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work + 1)
         sweep(12, parallelism=8)
         assert pools == []
-        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 2)
+        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work)
         sweep(12, parallelism=8)
-        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work // 3)
-        sweep(12, parallelism=8)
-        assert pools == [{"max_workers": 2}, {"max_workers": 3}]
+        sweep(12, parallelism=3)
+        assert pools == [{"max_workers": len(_sweep_pairs(12))}, {"max_workers": 3}]
 
     def test_work_estimate_matches_the_break_even_table(self):
         # the summed work of the table beside POOL_BREAK_EVEN; two workers
@@ -245,17 +245,22 @@ class TestSweep:
         sizes = (40, 60, 80, 84, 100, 130)
         work = [sum(map(_pair_cost, _sweep_pairs(m))) for m in sizes]
         assert work == [2933, 9389, 20702, 23285, 39401, 80491]
-        assert work[2] // bounds.POOL_BREAK_EVEN == 1 < 2 == work[3] // bounds.POOL_BREAK_EVEN
+        assert work[2] < bounds.POOL_BREAK_EVEN <= work[3]
         assert [_pair_cost(pair) for pair in [(3, 2), (3, 3), (5, 2), (3, 4)]] == [5, 14, 14, 27]
 
     def test_above_break_even_pool_is_min_of_jobs_and_cpus(self, monkeypatch, recording_pool):
         pools, submitted = recording_pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert sum(map(_pair_cost, _sweep_pairs(100))) // bounds.POOL_BREAK_EVEN >= 3
+        assert sum(map(_pair_cost, _sweep_pairs(100))) >= bounds.POOL_BREAK_EVEN
         report = sweep(100, parallelism=3)
         assert pools == [{"max_workers": 2}]
         assert sorted(submitted[0]) == _sweep_pairs(100)
         assert [(r.report.p.p, r.report.a) for r in report.rows] == _sweep_pairs(100)
+        # on 8 CPUs, --jobs 8 gets all 8 workers, not only as many as the
+        # two-worker break-even would give
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        sweep(100, parallelism=8)
+        assert pools[-1] == {"max_workers": 8}
 
     def test_serialization(self):
         report = sweep(10, parallelism=1)
