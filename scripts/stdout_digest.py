@@ -43,6 +43,7 @@ COMMANDS = (
     ("verify", "--p", "31", "--suite", "qr"),
     ("verify", "--p", "31", "--suite", "klemma"),
     ("sweep", "--max-pa", "100", "--jobs", "2", "--format", "json"),
+    ("verify", "--p", "17", "--suite", "shift"),
 )
 
 

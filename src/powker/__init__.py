@@ -3,15 +3,9 @@ Hom-dimension tables along the flag filtration, and torsion rank bounds."""
 
 from ._version import __version__
 from .errors import ConsistencyError
-from .ffpoly import (
-    BiPoly,
-    FpScalar,
-    PrimeModulus,
-    binom_mod,
-    is_divisible,
-)
+from .ffpoly import BiPoly, PrimeModulus, binom_mod
 from .steenrod import Parameters, SplitPoly, h_poly, parameters, q_of_split, total_power
-from .reps import Representation, chern_classes, f_of, filtration_rep, r_poly
+from .reps import Representation, f_of, filtration_rep, r_poly
 from .homspace import (
     FpMatrix,
     HomProblem,
@@ -43,9 +37,7 @@ __all__ = [
     "__version__",
     "ConsistencyError",
     "PrimeModulus",
-    "FpScalar",
     "BiPoly",
-    "is_divisible",
     "binom_mod",
     "total_power",
     "Parameters",
@@ -56,7 +48,6 @@ __all__ = [
     "Representation",
     "f_of",
     "r_poly",
-    "chern_classes",
     "filtration_rep",
     "HomProblem",
     "HomSpace",

@@ -9,10 +9,15 @@ error.  JSON and CSV output formats are stable; text output is for
 humans and may change.
 
 Before any work, a command refuses (exit 2) a level wider than
-MAX_COLUMNS domain columns, and `verify` refuses the identity suites for
+MAX_COLUMNS domain columns, `sweep` refuses a budget whose estimated
+work, the sum of `bounds._pair_cost` over its pairs, exceeds
+MAX_SWEEP_WORK, and `verify` refuses the identity suites for
 p > MAX_IDENTITY_P.  On a 2-vCPU machine, a level of about 2000 columns
 took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), and the
-qr and klemma identities took 9 s each at p = 47.
+qr and klemma identities took 9 s each at p = 47.  MAX_SWEEP_WORK is the
+estimated work of `--max-pa 500`, which took 50 s with two workers;
+`--max-pa 1000` would be about 6 times that and `--max-pa 2003` about 38
+times.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import json
 import sys
 
 from .bounds import filtration_table, pre_filtration_dims, rank_report, sweep
+from .bounds import _pair_cost, _sweep_pairs
 from .errors import ConsistencyError
 from .ffpoly import PrimeModulus
 from .homspace import contains, div_r_shift, family_element, ma_space, mul_r_shift
@@ -30,6 +36,7 @@ from .homspace import FpMatrix
 
 SUITES = ("family", "qr", "klemma", "subst", "shift", "all")
 MAX_COLUMNS = 2000
+MAX_SWEEP_WORK = 3014178  # sum of bounds._pair_cost over the pairs of --max-pa 500
 MAX_IDENTITY_P = 47
 
 
@@ -206,6 +213,12 @@ def _cmd_sweep(args) -> tuple[str, int]:
     # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
     for q in (3, 5):
         _check_level(q, args.max_pa // q)
+    work = sum(map(_pair_cost, _sweep_pairs(args.max_pa)))
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(
+            f"sweep to max_pa {args.max_pa} has estimated work {work}, "
+            f"over the limit of {MAX_SWEEP_WORK}"
+        )
     report = sweep(args.max_pa, parallelism=args.jobs)
     if args.format == "json":
         return json.dumps(report.to_json(), indent=2) + "\n", 0

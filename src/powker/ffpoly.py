@@ -10,15 +10,16 @@ The canonical monomial order sorts by x-exponent descending, then by
 t-exponent descending; the highest x-power comes first.  The canonical
 text form writes terms in that order as ``c*t^i*x^j`` joined by `` + ``,
 omitting unit coefficients, zero exponents and exponent 1, e.g.
-``x^3 + 2*t^2*x``.  `BiPoly.parse` reads the same grammar back.
+``x^3 + 2*t^2*x``.
 
 Division lives in `BiPoly.divmod_x`: dividends are viewed as
 polynomials in x with coefficients in F_p[t], and the divisor must be
 monic in x (its leading x-coefficient is the constant 1), so quotient
 and remainder are exact and unique with deg_x(remainder) < deg_x(divisor).
 
-The package's validated value classes (`PrimeModulus`, `FpScalar` and
-those in the other modules) derive from `Frozen`: their fields live in
+Scalars of F_p are plain ints, canonical in [0, p).  The package's
+validated value classes (`PrimeModulus` and those in the other
+modules) derive from `Frozen`: their fields live in
 `__slots__` and are set once in `__init__`; equality (same class only),
 hash and the `Name(field=value, ...)` repr use the fields named in
 `_fields`; assignment raises AttributeError; and a pickle restores the
@@ -36,9 +37,7 @@ from typing import Iterator, Mapping
 __all__ = [
     "Frozen",
     "PrimeModulus",
-    "FpScalar",
     "BiPoly",
-    "is_divisible",
     "binom_mod",
 ]
 
@@ -127,62 +126,6 @@ class PrimeModulus(Frozen):
         self._set(p)
 
 
-class FpScalar(Frozen):
-    """A scalar in F_p, kept as the canonical residue in [0, p)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError("scalar value must be an integer")
-        self._set(value % modulus.p, modulus)
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, int) and not isinstance(other, bool):
-            return FpScalar(other, self.modulus)
-        if isinstance(other, FpScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.modulus)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible in F_p")
-        return FpScalar(pow(self.value, self.modulus.p - 2, self.modulus.p), self.modulus)
-
-    def __repr__(self):
-        return f"FpScalar({self.value} mod {self.modulus.p})"
-
-
 @lru_cache(maxsize=None)
 def _binom_digit(n: int, k: int, p: int) -> int:
     """C(n, k) mod p for base-p digits 0 <= k <= n < p, where k! is invertible mod p."""
@@ -222,10 +165,6 @@ class BiPoly:
                 i, j = key
                 if i < 0 or j < 0:
                     raise ValueError("exponents must be non-negative")
-                if isinstance(c, FpScalar):
-                    if c.modulus != modulus:
-                        raise ValueError("modulus mismatch")
-                    c = c.value
                 c %= p
                 if c:
                     clean[(i, j)] = c
@@ -241,10 +180,6 @@ class BiPoly:
     @classmethod
     def one(cls, modulus: PrimeModulus) -> "BiPoly":
         return cls(modulus, {(0, 0): 1})
-
-    @classmethod
-    def const(cls, modulus: PrimeModulus, c: int) -> "BiPoly":
-        return cls(modulus, {(0, 0): c})
 
     @classmethod
     def monomial(cls, modulus: PrimeModulus, i: int, j: int, c: int = 1) -> "BiPoly":
@@ -288,8 +223,8 @@ class BiPoly:
         """(i, j, c) triples in the canonical monomial order."""
         return sorted(self.iterterms(), key=lambda t: (-t[1], -t[0]))
 
-    def coefficient(self, i: int, j: int) -> FpScalar:
-        return FpScalar(self._coeffs.get((i, j), 0), self.modulus)
+    def coefficient(self, i: int, j: int) -> int:
+        return self._coeffs.get((i, j), 0)
 
     def is_homogeneous(self) -> bool:
         degs = {i + j for i, j in self._coeffs}
@@ -341,11 +276,8 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FpScalar)) and not isinstance(other, bool):
-            c = other.value if isinstance(other, FpScalar) else other % self.modulus.p
-            if isinstance(other, FpScalar) and other.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return BiPoly(self.modulus, {key: v * c for key, v in self._coeffs.items()})
+        if isinstance(other, int) and not isinstance(other, bool):
+            return BiPoly(self.modulus, {key: v * other for key, v in self._coeffs.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._check(other)
@@ -379,13 +311,6 @@ class BiPoly:
                 base = base * base
             e >>= 1
         return result
-
-    def homogeneous_component(self, d: int) -> "BiPoly":
-        """The sum of the terms of algebraic degree exactly d."""
-        res = BiPoly.__new__(BiPoly)
-        res.modulus = self.modulus
-        res._coeffs = {key: c for key, c in self._coeffs.items() if key[0] + key[1] == d}
-        return res
 
     def divmod_x(self, divisor: "BiPoly") -> tuple["BiPoly", "BiPoly"]:
         """Exact division in x by a divisor that is monic in x.
@@ -459,42 +384,6 @@ class BiPoly:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    @classmethod
-    def parse(cls, modulus: PrimeModulus, text: str) -> "BiPoly":
-        """Parse the canonical text form produced by `text`."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero(modulus)
-        coeffs: dict[tuple[int, int], int] = {}
-        for chunk in s.split("+"):
-            term = chunk.strip()
-            if not term:
-                raise ValueError(f"malformed polynomial text: {text!r}")
-            c, i, j = 1, 0, 0
-            for factor in term.split("*"):
-                f = factor.strip()
-                if f.isdigit():
-                    c *= int(f)
-                elif f == "t":
-                    i += 1
-                elif f == "x":
-                    j += 1
-                elif f.startswith("t^") and f[2:].isdigit():
-                    i += int(f[2:])
-                elif f.startswith("x^") and f[2:].isdigit():
-                    j += int(f[2:])
-                else:
-                    raise ValueError(f"malformed term {term!r} in {text!r}")
-            coeffs[(i, j)] = (coeffs.get((i, j), 0) + c) % modulus.p
-        return cls(modulus, coeffs)
-
     def __repr__(self):
         return f"BiPoly(p={self.modulus.p}, {self.text()!r})"
-
-
-def is_divisible(numerator: BiPoly, divisor: BiPoly) -> bool:
-    """True iff divisor divides numerator exactly (zero remainder)."""
-    return numerator.divmod_x(divisor)[1].is_zero()
 

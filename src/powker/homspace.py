@@ -62,10 +62,12 @@ interpolation problem.
 `hom_space` row-reduces the stacked rows (the packed `rref` in
 `powker._pykernel`; the kernel of a matrix is the kernel of its RREF,
 which is unique, so the equations do not depend on how they were
-derived), reads the kernel basis off the RREF, and certifies it: dim + rank == ncols, and every
-stacked row vanishes on every basis vector.  It keeps the RREF rows as
-the space's `equations`.  Membership (`contains` and the shift checks)
-evaluates those equations at m's coordinates and never reads the basis.
+derived), reads the kernel basis off the RREF, and certifies it: dim +
+rank == ncols, and every stacked row vanishes on every basis vector.  It
+keeps the RREF rows as the space's `equations`.  Membership (`contains`
+and the shift checks) reduces m's coordinates by the reduced echelon
+basis: at most dim passes over a basis vector's terms, where evaluating
+the equations would take ncols - dim dot products of length ncols.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -90,7 +92,7 @@ from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
-from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
+from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, f_of, filtration_rep, r_poly
 from .steenrod import SplitPoly, binomial_terms, h_poly, one_plus_tau, parameters, q_of_split
 
@@ -165,8 +167,7 @@ class HomProblem(Frozen):
 
 class HomSpace(Frozen):
     """A computed kernel: the problem, a reduced echelon basis, and the
-    operator's RREF rows, which decide membership (unique, so neither
-    compared nor shown)."""
+    operator's RREF rows (unique, so neither compared nor shown)."""
 
     __slots__ = ("problem", "basis", "equations")
     _fields = ("problem", "basis")
@@ -204,10 +205,7 @@ class FpMatrix:
 
     def __init__(self, modulus: PrimeModulus, rows, ncols: int | None = None):
         p = modulus.p
-        clean = []
-        for row in rows:
-            r = [v.value if isinstance(v, FpScalar) else v % p for v in row]
-            clean.append(r)
+        clean = [[v % p for v in row] for row in rows]
         if ncols is None:
             if not clean:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -393,12 +391,22 @@ def _in_level(p: PrimeModulus, a: int, m: BiPoly) -> bool:
 def contains(space: HomSpace, m: BiPoly) -> bool:
     """Membership test: does f divide P(m) - h*m?
 
-    Evaluates the space's equations at m's coordinates on the domain
-    basis; the stored basis is never read.
+    Reduces m's coordinates on the domain basis by the reduced echelon
+    basis: at each basis vector's pivot, its highest x-power, subtract
+    that multiple of it.  m is a member exactly when nothing is left.
+    No basis vector touches another's pivot, so each multiple is read
+    off m's own coordinates.
     """
-    vec = space.problem.coordinates(m)
-    p = space.problem.p.p
-    return not any(sum(map(mul, row, vec)) % p for row in space.equations)
+    problem = space.problem
+    vec = problem.coordinates(m)
+    top = problem.x_bound()
+    for b in space.basis:
+        c = vec[top - b.x_degree()]
+        if c:
+            for _i, j, v in b.iterterms():
+                vec[top - j] -= c * v
+    p = problem.p.p
+    return not any(v % p for v in vec)
 
 
 def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
@@ -437,7 +445,7 @@ def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
 def verify_qr_identity(p: PrimeModulus) -> bool:
     """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1)."""
     pp = p.p
-    split_r = SplitPoly(p, FpScalar(1, p), tuple(FpScalar(k, p) for k in range(pp)))
+    split_r = SplitPoly(p, 1, tuple(range(pp)))
     return q_of_split(split_r) == r_poly(p) ** (pp - 1) + one_plus_tau(p, pp - 1)
 
 

@@ -7,18 +7,17 @@ uses every residue once and gives r = x^p - t^(p-1) x.  The flag
 filtration at level a and step k uses a - 1 copies of the regular
 representation plus the first k weights 0, ..., k-1.  A kernel problem
 takes the representation itself, so the weights are the divisor's only
-encoding; f(V) is multiplied out only for output and `chern_classes`.
+encoding; f(V) is multiplied out only for output.
 """
 
 from __future__ import annotations
 
-from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus
+from .ffpoly import BiPoly, Frozen, PrimeModulus
 
 __all__ = [
     "Representation",
     "f_of",
     "r_poly",
-    "chern_classes",
     "filtration_rep",
 ]
 
@@ -72,15 +71,6 @@ def r_poly(p: PrimeModulus) -> BiPoly:
     """x^p - t^(p-1) x, the split polynomial of the regular representation."""
     pp = p.p
     return BiPoly(p, {(0, pp): 1, (pp - 1, 1): -1})
-
-
-def chern_classes(v: Representation) -> tuple[FpScalar, ...]:
-    """Elementary symmetric functions e_0, ..., e_n of the weights mod p.
-
-    f_of(v) has (-1)^j e_j as its coefficient of t^j x^(n-j).
-    """
-    f, n = f_of(v), v.dim
-    return tuple((-1) ** j * f.coefficient(j, n - j) for j in range(n + 1))
 
 
 def filtration_rep(p: PrimeModulus, a: int, k: int) -> Representation:

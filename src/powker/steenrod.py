@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ffpoly import BiPoly, FpScalar, Frozen, PrimeModulus, binom_mod
+from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 
 __all__ = [
     "binomial_terms",
@@ -114,26 +114,20 @@ class SplitPoly(Frozen):
 
     __slots__ = ("modulus", "unit", "factors", "t_power")
 
-    def __init__(self, modulus: PrimeModulus, unit: FpScalar, factors: tuple[FpScalar, ...],
-                 t_power: int = 0):
-        if isinstance(unit, int):
-            unit = FpScalar(unit, modulus)
-        if unit.modulus != modulus:
-            raise ValueError("modulus mismatch")
-        if not unit:
+    def __init__(self, modulus: PrimeModulus, unit: int, factors: tuple[int, ...], t_power: int = 0):
+        p = modulus.p
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in (unit, *factors)):
+            raise ValueError("unit and factors must be integers")
+        if not unit % p:
             raise ValueError("unit must be nonzero")
-        factors = tuple(f if isinstance(f, FpScalar) else FpScalar(f, modulus) for f in factors)
-        for f in factors:
-            if f.modulus != modulus:
-                raise ValueError("modulus mismatch")
         if t_power < 0:
             raise ValueError("t_power must be non-negative")
-        self._set(modulus, unit, factors, t_power)
+        self._set(modulus, unit % p, tuple(k % p for k in factors), t_power)
 
     def expand(self) -> BiPoly:
-        out = BiPoly.monomial(self.modulus, self.t_power, 0, self.unit.value)
+        out = BiPoly.monomial(self.modulus, self.t_power, 0, self.unit)
         for k in self.factors:
-            out = out * BiPoly(self.modulus, {(0, 1): 1, (1, 0): -k.value})
+            out = out * BiPoly(self.modulus, {(0, 1): 1, (1, 0): -k})
         return out
 
 
@@ -143,6 +137,6 @@ def q_of_split(m: SplitPoly) -> BiPoly:
     p = mod.p
     out = one_plus_tau(mod, m.t_power)
     for k in m.factors:
-        linear = BiPoly(mod, {(0, 1): 1, (1, 0): -k.value})
+        linear = BiPoly(mod, {(0, 1): 1, (1, 0): -k})
         out = out * (BiPoly.one(mod) + linear ** (p - 1))
     return out

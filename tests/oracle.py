@@ -1,10 +1,11 @@
-"""Independent naive oracle for the kernel dimensions.
+"""Independent naive oracle for the kernel dimensions, equations and bases.
 
 Everything here is deliberately written from scratch on plain dicts and
 lists, with no imports from the package under test: substitution-based
 power operation, repeated-multiplication powers, long division in x,
-and textbook Gauss-Jordan elimination for the nullity and the row space.  Slow and simple on
-purpose; the engine must agree with it, not the other way around.
+and textbook Gauss-Jordan elimination for the nullity, the row space and
+the kernel.  Slow and simple on purpose; the engine must agree with it,
+not the other way around.
 """
 
 from __future__ import annotations
@@ -113,6 +114,22 @@ def nullity(rows, ncols, p):
     return ncols - len(echelon(rows, ncols, p))
 
 
+def nullspace(reduced, ncols, p):
+    """Textbook kernel basis of a matrix given by its RREF rows: for each free
+    column, set it to 1, the other free columns to 0, and solve for the pivots."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, piv in zip(reduced, pivots):
+            vec[piv] = -row[free] % p
+        basis.append(vec)
+    return basis
+
+
 def linear_form(w, p):
     return {(0, 1): 1, (1, 0): (-w) % p}
 
@@ -159,6 +176,14 @@ def row_space(p, f, delta, h):
     """The reduced row echelon form of `operator_rows`: unique, so any matrix with
     the same kernel on the domain has it as its RREF."""
     return tuple(tuple(r) for r in echelon(*operator_rows(p, f, delta, h), p))
+
+
+def kernel_basis(p, f, delta, h):
+    """The RREF of the kernel of `operator_rows`: the unique reduced echelon
+    basis of the kernel, as coordinate tuples on the domain."""
+    rows, ncols = operator_rows(p, f, delta, h)
+    kernel = nullspace(echelon(rows, ncols, p), ncols, p)
+    return tuple(tuple(r) for r in echelon(kernel, ncols, p))
 
 
 def level_problem(p, a):

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powker.ffpoly import (
-    PRIME_LIMIT,
-    BiPoly,
-    FpScalar,
-    PrimeModulus,
-    _is_prime,
-    binom_mod,
-    is_divisible,
-)
+from powker.ffpoly import PRIME_LIMIT, BiPoly, PrimeModulus, _is_prime, binom_mod
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -72,28 +64,6 @@ class TestPrimeModulus:
             _is_prime(PRIME_LIMIT)
 
 
-class TestFpScalar:
-    def test_arithmetic(self):
-        a = FpScalar(4, P5)
-        b = FpScalar(3, P5)
-        assert (a + b).value == 2
-        assert (a - b).value == 1
-        assert (a * b).value == 2
-        assert (-a).value == 1
-        assert bool(FpScalar(0, P5)) is False
-
-    def test_inverse(self):
-        for v in range(1, 7):
-            s = FpScalar(v, P7)
-            assert (s * s.inverse()).value == 1
-        with pytest.raises(ZeroDivisionError):
-            FpScalar(0, P7).inverse()
-
-    def test_cross_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            FpScalar(1, P3) + FpScalar(1, P5)
-
-
 @given(n=st.integers(min_value=0, max_value=200), k=st.integers(min_value=0, max_value=200), q=odd_primes)
 def test_binom_mod_matches_math_comb(n, k, q):
     assert binom_mod(n, k, q) == math.comb(n, k) % q
@@ -110,9 +80,17 @@ def test_binom_mod_at_large_primes(q):
 class TestBiPoly:
     def test_construction_normalizes(self):
         m = BiPoly(P5, {(0, 0): 7, (1, 2): 10, (3, 3): -1})
-        assert m.coefficient(0, 0).value == 2
-        assert m.coefficient(1, 2).value == 0
-        assert m.coefficient(3, 3).value == 4
+        assert m.coefficient(0, 0) == 2
+        assert m.coefficient(1, 2) == 0
+        assert m.coefficient(3, 3) == 4
+        assert type(m.coefficient(0, 0)) is int
+
+    def test_scalar_multiples(self):
+        # an int scalar is reduced mod p, from either side
+        x = BiPoly.x(P5)
+        assert x * 7 == BiPoly(P5, {(0, 1): 2}) == 7 * x
+        assert x * -1 == BiPoly(P5, {(0, 1): 4})
+        assert (x * 5).is_zero()
 
     def test_degrees(self):
         m = BiPoly(P3, {(2, 1): 1, (0, 2): 2})
@@ -124,14 +102,11 @@ class TestBiPoly:
     def test_named_constructors(self):
         assert BiPoly.t(P3) == BiPoly.monomial(P3, 1, 0)
         assert BiPoly.x(P3) == BiPoly.monomial(P3, 0, 1)
-        assert BiPoly.one(P3) == BiPoly.const(P3, 1)
+        assert BiPoly.one(P3) == BiPoly(P3, {(0, 0): 1}) == BiPoly.monomial(P3, 0, 0)
 
     def test_homogeneity(self):
         assert BiPoly(P5, {(2, 1): 1, (0, 3): 4}).is_homogeneous()
         assert not BiPoly(P5, {(2, 1): 1, (0, 2): 4}).is_homogeneous()
-        hom = BiPoly(P5, {(2, 1): 1, (0, 3): 4, (1, 1): 2})
-        assert hom.homogeneous_component(3) == BiPoly(P5, {(2, 1): 1, (0, 3): 4})
-        assert hom.homogeneous_component(2) == BiPoly(P5, {(1, 1): 2})
 
     @given(a=sparse_polys(P5), b=sparse_polys(P5), c=sparse_polys(P5))
     def test_ring_axioms(self, a, b, c):
@@ -192,23 +167,15 @@ class TestDivmodX:
     def test_exact_divisibility(self):
         r = BiPoly(P5, {(0, 5): 1, (4, 1): -1})
         m = BiPoly(P5, {(1, 2): 3}) * r
-        assert is_divisible(m, r)
-        assert not is_divisible(m + BiPoly.one(P5), r)
+        assert m.divmod_x(r) == (BiPoly(P5, {(1, 2): 3}), BiPoly.zero(P5))
+        assert m.divmod_x(r)[1].is_zero()
+        assert (m + BiPoly.one(P5)).divmod_x(r)[1] == BiPoly.one(P5)
 
 
 class TestTextRoundTrip:
-    @given(m=sparse_polys(P7))
-    def test_parse_inverts_text(self, m):
-        assert BiPoly.parse(P7, m.text()) == m
-
     def test_known_forms(self):
         r5 = BiPoly(P5, {(0, 5): 1, (4, 1): -1})
         assert r5.text() == "x^5 + 4*t^4*x"
-        assert BiPoly.parse(P5, "x^5 + 4*t^4*x") == r5
         assert BiPoly.zero(P3).text() == "0"
-        assert BiPoly.parse(P3, "0").is_zero()
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("x**2", "y + 1", "t^", "2x"):
-            with pytest.raises(ValueError):
-                BiPoly.parse(P3, bad)
+        assert BiPoly.one(P3).text() == "1"
+        assert BiPoly(P7, {(0, 0): 3, (1, 0): 1, (2, 1): 2, (0, 1): 1}).text() == "2*t^2*x + x + t + 3"

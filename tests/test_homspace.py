@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kernel_nullity, m_nullity, row_space
+from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity, row_space
 from powker import homspace
 from powker.cli import main
 from powker.errors import ConsistencyError
-from powker.ffpoly import BiPoly, PrimeModulus, is_divisible
+from powker.ffpoly import BiPoly, PrimeModulus
 from powker.homspace import (
     FpMatrix,
     HomProblem,
@@ -155,6 +155,11 @@ def _in_span(space: HomSpace, m: BiPoly) -> bool:
     return with_m.rank() == len(rows)
 
 
+def _divides(prob: HomProblem, m: BiPoly) -> bool:
+    """Membership by its definition: f divides P(m) - h*m."""
+    return (total_power(m) - prob.h * m).divmod_x(prob.f)[1].is_zero()
+
+
 def _non_members(space: HomSpace, rng: random.Random, count: int):
     """Seeded random domain elements outside the span of the basis."""
     q = space.problem.p.p
@@ -169,13 +174,13 @@ def _non_members(space: HomSpace, rng: random.Random, count: int):
 
 
 class TestKernelCorrectness:
-    # dual route: membership is decided by divisibility, never via the basis
+    # dual route: `contains` reduces by the basis, `_divides` divides by f
 
     @pytest.mark.parametrize("q,a", [(3, 2), (5, 2), (5, 3), (7, 2)])
     def test_every_basis_element_divides(self, q, a):
         space = ma_space(PrimeModulus(q), a)
         for b in space.basis:
-            assert contains(space, b)
+            assert contains(space, b) and _divides(space.problem, b)
 
     @pytest.mark.parametrize("q,a", [(3, 2), (5, 2)])
     def test_non_members_fail(self, q, a):
@@ -183,7 +188,7 @@ class TestKernelCorrectness:
         space = ma_space(PrimeModulus(q), a)
         outside = len(space.problem.domain_monomials()) - space.dim
         for m in _non_members(space, rng, outside):
-            assert not contains(space, m)
+            assert not contains(space, m) and not _divides(space.problem, m)
 
     def test_membership_is_linear(self):
         space = ma_space(P5, 2)
@@ -203,9 +208,10 @@ class TestKernelCorrectness:
 class TestFamily:
     def test_explicit_form(self):
         # t^((p-1)/2-k) x^k (k x^(p-1) + (1-k) t^(p-1))
-        assert family_element(P5, 0) == BiPoly.parse(P5, "t^6")
-        assert family_element(P5, 1) == BiPoly.parse(P5, "t*x^5")
-        assert family_element(P5, 2) == BiPoly.parse(P5, "2*x^6 + 4*t^4*x^2")
+        assert family_element(P5, 0) == BiPoly(P5, {(6, 0): 1})
+        assert family_element(P5, 1) == BiPoly(P5, {(1, 5): 1})
+        assert family_element(P5, 2) == BiPoly(P5, {(0, 6): 2, (4, 2): 4})
+        assert [family_element(P5, k).text() for k in range(3)] == ["t^6", "t*x^5", "2*x^6 + 4*t^4*x^2"]
 
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_membership_and_independence(self, q):
@@ -258,14 +264,12 @@ class TestShifts:
         real = homspace._level
 
         def patched(good: int):
-            # every level but `good` gets identity equations: only 0 is a member there
+            # every level but `good` gets an empty basis: only 0 is a member there
             def level(p, a):
                 space = real(p, a)
                 if a == good:
                     return space
-                n = len(space.problem.domain_monomials())
-                identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-                return HomSpace(space.problem, space.basis, identity)
+                return HomSpace(space.problem, (), space.equations)
 
             return level
 
@@ -341,6 +345,11 @@ def _as_dict(m: BiPoly) -> dict:
 def _oracle_equations(prob: HomProblem) -> tuple:
     """The RREF of the oracle's operator matrix, for comparison with `HomSpace.equations`."""
     return row_space(prob.p.p, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
+
+
+def _basis_coordinates(space: HomSpace) -> tuple:
+    """The basis as coordinate tuples, for comparison with `oracle.kernel_basis`."""
+    return tuple(tuple(space.problem.coordinates(b)) for b in space.basis)
 
 
 class TestColumnAssembly:
@@ -446,15 +455,12 @@ class TestOperatorProperties:
         assert space.equations == _oracle_equations(prob)
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
 
-        def divides(m):
-            return is_divisible(total_power(m) - prob.h * m, prob.f)
-
         for b in space.basis:
-            assert contains(space, b) and divides(b)
+            assert contains(space, b) and _divides(prob, b)
         rng = random.Random(seed)
         outside = min(3, len(prob.domain_monomials()) - space.dim)
         for m in _non_members(space, rng, outside):
-            assert not contains(space, m) and not divides(m)
+            assert not contains(space, m) and not _divides(prob, m)
 
 
 @st.composite
@@ -501,6 +507,7 @@ class TestWeightLocalSystems:
         space = hom_space(prob)
         assert space.equations == _oracle_equations(prob)
         assert space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
+        assert _basis_coordinates(space) == kernel_basis(prob.p.p, f, prob.delta, h)
 
     # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
     # c^w_n is free after it; the identities n + s(p-1) that follow cut it
@@ -526,13 +533,17 @@ class TestWeightLocalSystems:
 
 
 class TestOracleAgreement:
-    # every level with p*a <= 21 is acceptance criterion 7; these go on to 30
+    # every level with p*a <= 21 is acceptance criterion 7; these go on to
+    # 30.  The basis itself is the RREF of the oracle's kernel.
     @pytest.mark.parametrize(
         "q,a",
-        [(3, 2), (5, 2), (3, 3), (11, 2), (3, 8), (5, 5), (13, 2), (3, 9), (7, 4), (5, 6), (3, 10)],
+        [(3, 2), (5, 2), (3, 3), (11, 2), (3, 8), (5, 5), (13, 2), (3, 9), (7, 4), (5, 6), (3, 10)]
+        + [(3, 4), (3, 5), (3, 6), (3, 7), (5, 3), (5, 4), (7, 2), (7, 3)],
     )
     def test_level_dims(self, q, a):
-        assert ma_space(PrimeModulus(q), a).dim == m_nullity(q, a)
+        space = ma_space(PrimeModulus(q), a)
+        assert space.dim == m_nullity(q, a)
+        assert _basis_coordinates(space) == kernel_basis(q, *level_problem(q, a))
 
     # (3, 3, 2) and (5, 5, 3) have a >= p, where the local systems couple
     @pytest.mark.parametrize("q,a,k", [(3, 2, 0), (3, 2, 3), (5, 2, 4), (3, 3, 2), (5, 5, 3)])

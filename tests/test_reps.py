@@ -1,11 +1,14 @@
 """Tests for weight lists, split polynomials of representations, flags."""
 
+from itertools import combinations
+from math import prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from powker.ffpoly import BiPoly, PrimeModulus
-from powker.reps import Representation, chern_classes, f_of, filtration_rep, r_poly
+from powker.reps import Representation, f_of, filtration_rep, r_poly
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -62,13 +65,12 @@ class TestSplitPolynomials:
 
     @given(ws=weight_lists(5))
     def test_chern_classes_expand_f(self, ws):
-        # f(V) = sum_k (-1)^k e_k(weights) t^k x^(n-k)
+        # f(V) = sum_k (-1)^k e_k(weights) t^k x^(n-k), with the Chern
+        # classes e_k summed over k-subsets of the weights
         v = Representation(P5, tuple(ws))
-        e = chern_classes(v)
         n = v.dim
-        expected = BiPoly(
-            P5, {(k, n - k): (-1) ** k * e[k].value for k in range(n + 1)}
-        )
+        e = [sum(prod(c) for c in combinations(v.weights, k)) for k in range(n + 1)]
+        expected = BiPoly(P5, {(k, n - k): (-1) ** k * e[k] for k in range(n + 1)})
         assert f_of(v) == expected
 
     @given(
@@ -84,8 +86,10 @@ class TestSplitPolynomials:
         assert f_of(Representation(mod, tuple(ws))) == product
 
     def test_chern_values(self):
-        e = chern_classes(Representation(P5, (1, 2)))
-        assert tuple(s.value for s in e) == (1, 3, 2)
+        # e = (1, 1 + 2, 1 * 2): f = x^2 - 3 t x + 2 t^2
+        f = f_of(Representation(P5, (1, 2)))
+        assert tuple((-1) ** k * f.coefficient(k, 2 - k) % 5 for k in range(3)) == (1, 3, 2)
+        assert f.text() == "x^2 + 2*t*x + 2*t^2"
 
 
 class TestFiltrationRep:

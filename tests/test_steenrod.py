@@ -132,7 +132,18 @@ class TestSplitPoly:
         with pytest.raises(ValueError):
             SplitPoly(P3, 0, ())
         with pytest.raises(ValueError):
+            SplitPoly(P3, 3, ())  # a unit of 0 mod p
+        with pytest.raises(ValueError):
             SplitPoly(P3, 1, (), t_power=-1)
+        for unit, factors in ((1.0, ()), (True, ()), (1, (0.5,)), (1, (False,))):
+            with pytest.raises(ValueError):
+                SplitPoly(P3, unit, factors)
+
+    def test_scalars_are_reduced_ints(self):
+        m = SplitPoly(P3, 5, (4, -1, 0))
+        assert (m.unit, m.factors) == (2, (1, 2, 0))
+        assert m == SplitPoly(P3, 2, (1, 2, 0))
+        assert m.expand() == SplitPoly(P3, 2, (1, 2, 0)).expand()
 
     @given(m=split_polys(P5))
     @settings(deadline=None, max_examples=40)

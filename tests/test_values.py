@@ -1,9 +1,9 @@
 """Value semantics of the package's immutable classes and records.
 
 For each class: equal values compare and hash equal, a different field
-value compares unequal, the repr has the `Name(field=value, ...)` form
-(FpScalar keeps its own), assigning a field raises AttributeError, and
-a pickle round trip gives an equal object.
+value compares unequal, the repr has the `Name(field=value, ...)` form,
+assigning a field raises AttributeError, and a pickle round trip gives
+an equal object.
 """
 
 import pickle
@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from powker.bounds import FiltrationRow, FiltrationTable, RankReport, SweepReport, SweepRow, rank_report
-from powker.ffpoly import BiPoly, FpScalar, PrimeModulus
+from powker.ffpoly import BiPoly, PrimeModulus
 from powker.homspace import HomProblem, HomSpace, hom_space
 from powker.reps import Representation
 from powker.steenrod import SplitPoly, parameters
@@ -30,7 +30,6 @@ def _report(a: int = 2) -> RankReport:
 # name -> (make(variant), a field to assign, the repr of make(0))
 CASES = {
     "PrimeModulus": (lambda v: PrimeModulus((3, 5)[v]), "p", "PrimeModulus(p=3)"),
-    "FpScalar": (lambda v: FpScalar(2 + v, P3), "value", "FpScalar(2 mod 3)"),
     "Parameters": (
         lambda v: parameters(P3, 2 + v),
         "a",
@@ -39,8 +38,7 @@ CASES = {
     "SplitPoly": (
         lambda v: SplitPoly(P3, 1, (0, 2), v),
         "t_power",
-        "SplitPoly(modulus=PrimeModulus(p=3), unit=FpScalar(1 mod 3), "
-        "factors=(FpScalar(0 mod 3), FpScalar(2 mod 3)), t_power=0)",
+        "SplitPoly(modulus=PrimeModulus(p=3), unit=1, factors=(0, 2), t_power=0)",
     ),
     "Representation": (
         lambda v: Representation(P3, (4, v)),
