@@ -4,7 +4,7 @@ Hom-dimension tables along the flag filtration, and torsion rank bounds."""
 from ._version import __version__
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, PrimeModulus, binom_mod
-from .steenrod import Parameters, SplitPoly, h_poly, parameters, q_of_split, total_power
+from .steenrod import Parameters, h_poly, parameters, total_power
 from .reps import Representation, f_of, filtration_rep, r_poly
 from .homspace import (
     FpMatrix,
@@ -43,8 +43,6 @@ __all__ = [
     "Parameters",
     "parameters",
     "h_poly",
-    "SplitPoly",
-    "q_of_split",
     "Representation",
     "f_of",
     "r_poly",

@@ -70,7 +70,13 @@ def annihilates(rows: list[list[int]], vectors: list[list[int]], ncols: int, p: 
 
 def nullspace_rows(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Kernel basis of a matrix given by its RREF rows: for each free column f
-    in ascending order, the vector with 1 at f, 0 at the other free columns."""
+    in ascending order, the vector with 1 at f, 0 at the other free columns.
+
+    The RREF row with pivot column c is zero left of c, so f's vector is
+    nonzero only at f and at pivot columns below f: f is its last nonzero
+    entry.  Reversed, the list is therefore the reduced echelon basis of
+    the kernel with the columns taken in reverse order.
+    """
     pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
     pivot_set = set(pivots)
     basis = []

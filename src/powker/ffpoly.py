@@ -21,9 +21,9 @@ Scalars of F_p are plain ints, canonical in [0, p).  The package's
 validated value classes (`PrimeModulus` and those in the other
 modules) derive from `Frozen`: their fields live in
 `__slots__` and are set once in `__init__`; equality (same class only),
-hash and the `Name(field=value, ...)` repr use the fields named in
-`_fields`; assignment raises AttributeError; and a pickle restores the
-fields as stored, without validating them again.  Plain records are
+hash and the `Name(field=value, ...)` repr use every field; assignment
+raises AttributeError; and a pickle restores the fields as stored,
+without validating them again.  Plain records are
 `typing.NamedTuple`s.  Both are cheap to define, which keeps the CLI's
 start-up short.
 """
@@ -78,11 +78,9 @@ class Frozen:
     """Base of the immutable value classes (see the module docstring)."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()  # compared, hashed and shown; default: every slot
 
     def __init_subclass__(cls):
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__slots__)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -97,7 +95,7 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):

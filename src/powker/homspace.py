@@ -43,9 +43,10 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that happens for at most
   one n per level, found by one comparison with h.  Once the kernel is
   not {0}, each identity cuts it by one elimination with dim + 1
-  columns.  The system's rows span the annihilator of the final kernel,
-  so its unique RREF is computed from that kernel: one unit row per
-  unknown when the kernel is {0}.  A system depends on w only through
+  columns.  The system's rows are a basis of the annihilator of the
+  final kernel, read off that kernel's RREF by `nullspace_rows`: one unit
+  row per unknown when the kernel is {0}.  Any basis serves, since the
+  level's RREF below is unique.  A system depends on w only through
   e_w, so weights of equal multiplicity share one.  Its rows are mapped
   back to the domain coordinates through the Taylor functionals c^w_k,
   k < min(e_w, x_bound + 1), which the recurrence C(j, k) w^(j-k) =
@@ -59,15 +60,20 @@ space is {m : D^n m(1, x) vanishes at x = w for each weight w and each
 n < e_w with n != a - 2}, D^n the n-th Hasse derivative: a Birkhoff
 interpolation problem.
 
-`hom_space` row-reduces the stacked rows (the packed `rref` in
-`powker._pykernel`; the kernel of a matrix is the kernel of its RREF,
-which is unique, so the equations do not depend on how they were
-derived), reads the kernel basis off the RREF, and certifies it: dim +
-rank == ncols, and every stacked row vanishes on every basis vector.  It
-keeps the RREF rows as the space's `equations`.  Membership (`contains`
-and the shift checks) reduces m's coordinates by the reduced echelon
-basis: at most dim passes over a basis vector's terms, where evaluating
-the equations would take ncols - dim dot products of length ncols.
+`hom_space` makes one elimination per level: the packed `rref` in
+`powker._pykernel` reduces the stacked rows, whose column j holds c_j,
+the lowest x-power first.  The RREF is unique and has the rows' kernel,
+so the result does not depend on how the rows were derived.
+`nullspace_rows` of it gives, for each free column f, the vector with 1
+at f, 0 at the other free columns and its other entries at pivot columns
+below f: f is its highest x-power.  Read in reverse, these vectors are
+the reduced echelon basis in the domain order, with no second
+elimination.  The basis is certified, dim + rank == ncols and every
+stacked row vanishes on every basis vector, and it is all the space
+keeps.  Membership (`contains` and the shift checks) reduces m's
+coordinates by that basis: at most dim passes over a basis vector's
+terms, where evaluating equations would take ncols - dim dot products of
+length ncols.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -94,7 +100,7 @@ from ._pykernel import annihilates, nullspace_rows, rref
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, f_of, filtration_rep, r_poly
-from .steenrod import SplitPoly, binomial_terms, h_poly, one_plus_tau, parameters, q_of_split
+from .steenrod import binomial_terms, h_poly, one_plus_tau, parameters
 
 __all__ = [
     "HomProblem",
@@ -166,16 +172,12 @@ class HomProblem(Frozen):
 
 
 class HomSpace(Frozen):
-    """A computed kernel: the problem, a reduced echelon basis, and the
-    operator's RREF rows (unique, so neither compared nor shown)."""
+    """A computed kernel: the problem and its reduced echelon basis."""
 
-    __slots__ = ("problem", "basis", "equations")
-    _fields = ("problem", "basis")
+    __slots__ = ("problem", "basis")
 
-    def __init__(
-        self, problem: HomProblem, basis: tuple[BiPoly, ...], equations: tuple[tuple[int, ...], ...]
-    ):
-        self._set(problem, basis, equations)
+    def __init__(self, problem: HomProblem, basis: tuple[BiPoly, ...]):
+        self._set(problem, basis)
 
     @property
     def dim(self) -> int:
@@ -191,11 +193,6 @@ class HomSpace(Frozen):
         if include_basis:
             out["basis"] = [b.text() for b in self.basis]
         return out
-
-
-def _nullspace(reduced: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Kernel basis of a matrix given by its RREF rows, in reduced echelon form (unique)."""
-    return rref(nullspace_rows(reduced, ncols, p), ncols, p)
 
 
 class FpMatrix:
@@ -234,7 +231,8 @@ def _vanishing_identity(problem: HomProblem) -> int | None:
 
 
 def _level_rows(problem: HomProblem) -> list[list[int]]:
-    """Rows over the domain basis whose common kernel is the kernel of the level map.
+    """Rows over the domain basis, lowest x-power first (column j holds c_j),
+    whose common kernel is the kernel of the level map.
 
     One reduced local system per weight w and residue class rho mod p - 1,
     mapped back through the Taylor shift: at most min(e_w, x_bound + 1)
@@ -256,7 +254,6 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
         for k in range(1, min(e, top + 1)):
             prev = taylor[-1][k - 1 : top]
             taylor.append([0] * k + list(accumulate(prev, lambda acc, c: (w * acc + c) % p)))
-        taylor = [functional[::-1] for functional in taylor]  # domain column top - j holds c_j
         for rho in range(min(e, q)):
             local = systems.get((e, rho))
             if local is None:
@@ -272,10 +269,11 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
 
 
 def _local_system(problem, e, rho, twist, vanishing) -> list[list[tuple[int, int]]]:
-    """The RREF of the identities n = rho, rho + q, ... < e (q = p - 1) on the
-    unknowns c^w_k, k = rho + idx * q <= min(e - 1, x_bound), each row as
-    its nonzero (k, entry) terms: the annihilator of the kernel tracked
-    through the triangular identities (see the module docstring).
+    """Rows equivalent to the identities n = rho, rho + q, ... < e (q = p - 1)
+    on the unknowns c^w_k, k = rho + idx * q <= min(e - 1, x_bound), each row
+    as its nonzero (k, entry) terms: a basis of the annihilator of the
+    kernel tracked through the triangular identities (see the module
+    docstring).
     """
     p = problem.p.p
     q = p - 1
@@ -316,34 +314,34 @@ def _local_system(problem, e, rho, twist, vanishing) -> list[list[tuple[int, int
         ]
     if not kernel:
         return [[(rho + idx * q, 1)] for idx in range(size)]
-    local = _nullspace(rref(kernel, size, p), size, p)
+    local = nullspace_rows(rref(kernel, size, p), size, p)
     return [[(rho + idx * q, v) for idx, v in enumerate(row) if v] for row in local]
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis.
 
+    One `rref` of the stacked local rows, lowest x-power first; the basis
+    is its `nullspace_rows` in reverse order (see the module docstring).
     The result is certified: the dimension and the rank add up to the
     number of columns, and every row of the local systems, mapped back to
     the domain, vanishes on every basis vector.
     """
     p = problem.p.p
-    domain = problem.domain_monomials()
-    ncols = len(domain)
+    delta = problem.delta
+    ncols = problem.x_bound() + 1
     rows = _level_rows(problem)
-    equations = rref(rows, ncols, p)
-    vectors = _nullspace(equations, ncols, p)
-    if len(vectors) + len(equations) != ncols:
+    reduced = rref(rows, ncols, p)
+    # free columns descending: highest x-power first, the domain order
+    vectors = nullspace_rows(reduced, ncols, p)[::-1]
+    if len(vectors) + len(reduced) != ncols:
         raise ConsistencyError(
-            f"kernel certificate failed: dim {len(vectors)} + rank {len(equations)} != {ncols}"
+            f"kernel certificate failed: dim {len(vectors)} + rank {len(reduced)} != {ncols}"
         )
     if not annihilates(rows, vectors, ncols, p):
         raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
-    basis = []
-    for vec in vectors:
-        coeffs = {domain[idx]: v for idx, v in enumerate(vec) if v}
-        basis.append(BiPoly(problem.p, coeffs))
-    return HomSpace(problem, tuple(basis), tuple(map(tuple, equations)))
+    basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)
+    return HomSpace(problem, tuple(basis))
 
 
 def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
@@ -443,10 +441,16 @@ def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
 
 
 def verify_qr_identity(p: PrimeModulus) -> bool:
-    """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1)."""
+    """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1).
+
+    r = prod_k (x - k t), so Q(r) = P(r) / r = prod_k (1 + (x - k t)^(p-1)).
+    """
     pp = p.p
-    split_r = SplitPoly(p, 1, tuple(range(pp)))
-    return q_of_split(split_r) == r_poly(p) ** (pp - 1) + one_plus_tau(p, pp - 1)
+    q_of_r = BiPoly.one(p)
+    for k in range(pp):
+        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k})
+        q_of_r = q_of_r * (BiPoly.one(p) + linear ** (pp - 1))
+    return q_of_r == r_poly(p) ** (pp - 1) + one_plus_tau(p, pp - 1)
 
 
 def verify_substitution_identity(p: PrimeModulus) -> bool:

@@ -20,18 +20,13 @@ For a level a >= 2 the derived quantities are
     h       = (1 + tau)^epsilon          twist polynomial
 
 so that delta - epsilon = a - 2.
-
-`SplitPoly` records a product of distinct-root linear forms
-unit * t^e * prod_j (x - k_j t); for such a polynomial m the quotient
-Q(m) = P(m) / m is again polynomial and `q_of_split` computes it as
-(1 + tau)^e * prod_j (1 + (x - k_j t)^(p-1)).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
+from .ffpoly import BiPoly, PrimeModulus, binom_mod
 
 __all__ = [
     "binomial_terms",
@@ -40,8 +35,6 @@ __all__ = [
     "Parameters",
     "parameters",
     "h_poly",
-    "SplitPoly",
-    "q_of_split",
 ]
 
 
@@ -107,36 +100,3 @@ def parameters(p: PrimeModulus, a: int) -> Parameters:
 def h_poly(p: PrimeModulus, a: int) -> BiPoly:
     """The twist polynomial (1 + t^(p-1))^epsilon, expanded mod p."""
     return one_plus_tau(p, parameters(p, a).epsilon)
-
-
-class SplitPoly(Frozen):
-    """A split polynomial unit * t^t_power * prod_j (x - factors[j] * t)."""
-
-    __slots__ = ("modulus", "unit", "factors", "t_power")
-
-    def __init__(self, modulus: PrimeModulus, unit: int, factors: tuple[int, ...], t_power: int = 0):
-        p = modulus.p
-        if any(not isinstance(c, int) or isinstance(c, bool) for c in (unit, *factors)):
-            raise ValueError("unit and factors must be integers")
-        if not unit % p:
-            raise ValueError("unit must be nonzero")
-        if t_power < 0:
-            raise ValueError("t_power must be non-negative")
-        self._set(modulus, unit % p, tuple(k % p for k in factors), t_power)
-
-    def expand(self) -> BiPoly:
-        out = BiPoly.monomial(self.modulus, self.t_power, 0, self.unit)
-        for k in self.factors:
-            out = out * BiPoly(self.modulus, {(0, 1): 1, (1, 0): -k})
-        return out
-
-
-def q_of_split(m: SplitPoly) -> BiPoly:
-    """The polynomial quotient P(expand(m)) / expand(m)."""
-    mod = m.modulus
-    p = mod.p
-    out = one_plus_tau(mod, m.t_power)
-    for k in m.factors:
-        linear = BiPoly(mod, {(0, 1): 1, (1, 0): -k})
-        out = out * (BiPoly.one(mod) + linear ** (p - 1))
-    return out

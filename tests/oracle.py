@@ -1,4 +1,4 @@
-"""Independent naive oracle for the kernel dimensions, equations and bases.
+"""Independent naive oracle for the kernel dimensions and bases.
 
 Everything here is deliberately written from scratch on plain dicts and
 lists, with no imports from the package under test: substitution-based
@@ -170,12 +170,6 @@ def operator_rows(p, f, delta, h):
 def kernel_nullity(p, f, delta, h):
     """Nullity of m -> (P(m) - h*m) mod f on degree-delta monomials."""
     return nullity(*operator_rows(p, f, delta, h), p)
-
-
-def row_space(p, f, delta, h):
-    """The reduced row echelon form of `operator_rows`: unique, so any matrix with
-    the same kernel on the domain has it as its RREF."""
-    return tuple(tuple(r) for r in echelon(*operator_rows(p, f, delta, h), p))
 
 
 def kernel_basis(p, f, delta, h):

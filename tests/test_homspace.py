@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity, row_space
+from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity
 from powker import homspace
 from powker.cli import main
 from powker.errors import ConsistencyError
@@ -269,7 +269,7 @@ class TestShifts:
                 space = real(p, a)
                 if a == good:
                     return space
-                return HomSpace(space.problem, (), space.equations)
+                return HomSpace(space.problem, ())
 
             return level
 
@@ -342,14 +342,15 @@ def _as_dict(m: BiPoly) -> dict:
     return {(i, j): c for i, j, c in m.iterterms()}
 
 
-def _oracle_equations(prob: HomProblem) -> tuple:
-    """The RREF of the oracle's operator matrix, for comparison with `HomSpace.equations`."""
-    return row_space(prob.p.p, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
-
-
 def _basis_coordinates(space: HomSpace) -> tuple:
-    """The basis as coordinate tuples, for comparison with `oracle.kernel_basis`."""
+    """The basis as coordinate tuples, for comparison with `_oracle_basis`."""
     return tuple(tuple(space.problem.coordinates(b)) for b in space.basis)
+
+
+def _oracle_basis(prob: HomProblem) -> tuple:
+    """The RREF of the oracle's kernel.  A kernel and its annihilator fix each
+    other, so equal bases also mean equal RREFs of the operator's rows."""
+    return kernel_basis(prob.p.p, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
 
 
 class TestColumnAssembly:
@@ -359,14 +360,14 @@ class TestColumnAssembly:
     def test_operator_matches_generic(self, q, a, k):
         mod = PrimeModulus(q)
         prob = HomProblem(mod, filtration_rep(mod, a, k), parameters(mod, a).delta, h_poly(mod, a))
-        assert hom_space(prob).equations == _oracle_equations(prob)
+        assert _basis_coordinates(hom_space(prob)) == _oracle_basis(prob)
 
     def test_triple_weight_divisor(self):
         # (x - t)^3 = x^3 - t^3 mod 3 goes through the local systems and agrees with the oracle
         prob = HomProblem(P3, Representation(P3, (1, 1, 1)), 3, h_poly(P3, 2))
         assert prob.f == BiPoly(P3, {(0, 3): 1, (3, 0): -1})
         space = hom_space(prob)
-        assert space.equations == _oracle_equations(prob)
+        assert _basis_coordinates(space) == _oracle_basis(prob)
         for b in space.basis:
             assert contains(space, b)
         # one more domain monomial on top of a basis element leaves the kernel
@@ -385,7 +386,7 @@ class TestColumnAssembly:
             f = f * BiPoly(mod, {(0, 1): 1, (1, 0): -w})
         prob = HomProblem(mod, Representation(mod, (1, 2, 5)), 4, BiPoly(mod, {(0, 0): 1, (256, 0): 3}))
         assert prob.f == f
-        assert hom_space(prob).equations == _oracle_equations(prob)
+        assert _basis_coordinates(hom_space(prob)) == _oracle_basis(prob)
 
     def test_million_prime_linear_divisor(self):
         # one column at p = 1000003, where a table of all p binomial rows
@@ -404,33 +405,40 @@ class TestColumnAssembly:
 
 
 class TestKernelCertificate:
-    def _dropping(self, monkeypatch, call):
-        """Make the given global elimination in `hom_space` (0: the stacked
-        local rows', 1: the basis's) lose its last row.  The local systems'
-        eliminations, which have fewer columns than the domain, are left alone."""
-        real = homspace.rref
-        domain = len(homspace._ma_problem(P5, 2).domain_monomials())
+    DOMAIN = len(homspace._ma_problem(P5, 2).domain_monomials())
+
+    def _wrapping(self, monkeypatch, name, change):
+        """Pass the output of `hom_space`'s domain-width calls of `name` through
+        `change`; return the list of those outputs, unchanged.  The local
+        systems' calls, which have fewer columns than the domain, are left alone."""
+        real = getattr(homspace, name)
         seen = []
 
-        def rref(rows, ncols, p):
+        def wrapped(rows, ncols, p):
             out = real(rows, ncols, p)
-            if ncols < domain:
+            if ncols < self.DOMAIN:
                 return out
             seen.append(out)
-            return out[:-1] if len(seen) == call + 1 else out
+            return change(out)
 
-        monkeypatch.setattr(homspace, "rref", rref)
+        monkeypatch.setattr(homspace, name, wrapped)
+        return seen
 
     def test_dropped_equation_is_caught(self, monkeypatch):
         # the basis gains a vector outside the kernel; dim + rank still adds up
-        self._dropping(monkeypatch, 0)
+        self._wrapping(monkeypatch, "rref", lambda out: out[:-1])
         with pytest.raises(ConsistencyError, match="does not vanish"):
             hom_space(homspace._ma_problem(P5, 2))
 
     def test_dropped_basis_vector_is_caught(self, monkeypatch):
-        self._dropping(monkeypatch, 1)
+        self._wrapping(monkeypatch, "nullspace_rows", lambda out: out[:-1])
         with pytest.raises(ConsistencyError, match="dim 3 \\+ rank"):
             hom_space(homspace._ma_problem(P5, 2))
+
+    def test_one_elimination_at_domain_width(self, monkeypatch):
+        seen = self._wrapping(monkeypatch, "rref", lambda out: out)
+        assert hom_space(homspace._ma_problem(P5, 2)).dim == 4
+        assert len(seen) == 1
 
 
 @st.composite
@@ -452,7 +460,7 @@ class TestOperatorProperties:
     def test_random_divisors(self, prob, seed):
         q = prob.p.p
         space = hom_space(prob)
-        assert space.equations == _oracle_equations(prob)
+        assert _basis_coordinates(space) == _oracle_basis(prob)
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
 
         for b in space.basis:
@@ -505,7 +513,6 @@ class TestWeightLocalSystems:
     def test_equations_match_oracle(self, prob):
         f, h = _as_dict(prob.f), _as_dict(prob.h)
         space = hom_space(prob)
-        assert space.equations == _oracle_equations(prob)
         assert space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
         assert _basis_coordinates(space) == kernel_basis(prob.p.p, f, prob.delta, h)
 
@@ -528,7 +535,7 @@ class TestWeightLocalSystems:
         for w in (0, 1):
             prob = HomProblem(mod, Representation(mod, (w,) * e), delta, _tau_power(mod, delta - n))
             space = hom_space(prob)
-            assert space.equations == _oracle_equations(prob)
+            assert _basis_coordinates(space) == _oracle_basis(prob)
             assert space.dim == kernel_nullity(q, _as_dict(prob.f), delta, _as_dict(prob.h))
 
 

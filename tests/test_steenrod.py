@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 
 from oracle import sub_power
 from powker.ffpoly import BiPoly, PrimeModulus
-from powker.steenrod import (
-    SplitPoly,
-    binomial_terms,
-    h_poly,
-    one_plus_tau,
-    parameters,
-    q_of_split,
-    total_power,
-)
+from powker.steenrod import binomial_terms, h_poly, one_plus_tau, parameters, total_power
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -110,43 +102,21 @@ class TestHPoly:
             assert h_poly(P5, a + 1) == h_poly(P5, a) * base**4
 
 
-def split_polys(modulus):
-    return st.builds(
-        SplitPoly,
-        st.just(modulus),
-        st.integers(min_value=1, max_value=modulus.p - 1),
-        st.lists(
-            st.integers(min_value=0, max_value=modulus.p - 1), max_size=4
-        ).map(tuple),
-        st.integers(min_value=0, max_value=3),
-    )
-
-
 class TestSplitPoly:
-    def test_expand(self):
-        m = SplitPoly(P3, 2, (0, 1), t_power=1)
-        # 2t * x * (x - t)
-        assert m.expand() == BiPoly(P3, {(1, 2): 2, (2, 1): 1})
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SplitPoly(P3, 0, ())
-        with pytest.raises(ValueError):
-            SplitPoly(P3, 3, ())  # a unit of 0 mod p
-        with pytest.raises(ValueError):
-            SplitPoly(P3, 1, (), t_power=-1)
-        for unit, factors in ((1.0, ()), (True, ()), (1, (0.5,)), (1, (False,))):
-            with pytest.raises(ValueError):
-                SplitPoly(P3, unit, factors)
-
-    def test_scalars_are_reduced_ints(self):
-        m = SplitPoly(P3, 5, (4, -1, 0))
-        assert (m.unit, m.factors) == (2, (1, 2, 0))
-        assert m == SplitPoly(P3, 2, (1, 2, 0))
-        assert m.expand() == SplitPoly(P3, 2, (1, 2, 0)).expand()
-
-    @given(m=split_polys(P5))
+    # a split m = unit * t^e * prod_j (x - k_j t) has the polynomial quotient
+    # Q(m) = P(m) / m = (1 + tau)^e * prod_j (1 + (x - k_j t)^(p-1)), which
+    # the Q(r) identity of `verify_qr_identity` multiplies out at m = r
+    @given(
+        unit=st.integers(1, P5.p - 1),
+        factors=st.lists(st.integers(0, P5.p - 1), max_size=4),
+        e=st.integers(0, 3),
+    )
     @settings(deadline=None, max_examples=40)
-    def test_q_of_split_is_exact_quotient(self, m):
-        expanded = m.expand()
-        assert q_of_split(m) * expanded == total_power(expanded)
+    def test_q_of_split_is_exact_quotient(self, unit, factors, e):
+        m = BiPoly.monomial(P5, e, 0, unit)
+        q = one_plus_tau(P5, e)
+        for k in factors:
+            linear = BiPoly(P5, {(0, 1): 1, (1, 0): -k})
+            m = m * linear
+            q = q * (BiPoly.one(P5) + linear ** (P5.p - 1))
+        assert q * m == total_power(m)
