@@ -42,7 +42,7 @@ COMMANDS = (
     ("sweep", "--max-pa", "100", "--format", "json"),
     ("verify", "--p", "31", "--suite", "qr"),
     ("verify", "--p", "31", "--suite", "klemma"),
-    ("sweep", "--max-pa", "100", "--jobs", "2", "--format", "json"),
+    ("sweep", "--max-pa", "350", "--jobs", "2", "--format", "json"),
     ("verify", "--p", "17", "--suite", "shift"),
 )
 

@@ -14,6 +14,7 @@ from .homspace import (
     div_r_shift,
     family_element,
     hom_space,
+    kernel_dim,
     ma_space,
     mul_r_shift,
     verify_k_lemma,
@@ -51,6 +52,7 @@ __all__ = [
     "HomSpace",
     "FpMatrix",
     "hom_space",
+    "kernel_dim",
     "ma_space",
     "family_element",
     "contains",

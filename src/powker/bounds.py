@@ -26,7 +26,7 @@ from typing import NamedTuple
 from ._version import __version__
 from .errors import ConsistencyError
 from .ffpoly import PrimeModulus, _is_prime
-from .homspace import HomProblem, hom_space, ma_space
+from .homspace import HomProblem, _ma_problem, kernel_dim
 from .reps import filtration_rep
 from .steenrod import h_poly, parameters
 
@@ -143,7 +143,7 @@ def _flag_walk(p: PrimeModulus, a: int, blocks: int) -> list[tuple[int, int, int
     rows = []
     for k in range(p.p + 1):
         rep = filtration_rep(p, blocks + 1, k)
-        dim = hom_space(HomProblem(p, rep, pars.delta, h)).dim
+        dim = kernel_dim(HomProblem(p, rep, pars.delta, h))
         rows.append((k, rep.dim, dim))
     return rows
 
@@ -161,6 +161,11 @@ def filtration_table(p: PrimeModulus, a: int) -> FiltrationTable:
             raise ConsistencyError(
                 f"hom dimension must drop by 0 or 1 at each step; got {prev} -> {cur} at k={k1}"
             )
+    ext11 = pp - rows[half + 1][2]  # step (p+1)/2 is the level-a space of `rank_report`
+    if not 1 <= ext11 <= half + 1:
+        raise ConsistencyError(
+            f"ext11 = {ext11} at k={half + 1} violates the proven window 1 <= rank <= {half + 1}"
+        )
     out = tuple(
         FiltrationRow(k, dv, dim, pp - dim if k >= half + 1 else None) for k, dv, dim in rows
     )
@@ -182,7 +187,7 @@ def pre_filtration_dims(p: PrimeModulus, a: int) -> tuple[int, ...]:
 def rank_report(p: PrimeModulus, a: int) -> RankReport:
     """Bounds on the torsion rank at level a, derived from dim of the kernel."""
     pp = p.p
-    dim = ma_space(p, a).dim
+    dim = kernel_dim(_ma_problem(p, a))
     if dim < (pp + 1) // 2:
         raise ConsistencyError(
             f"kernel dimension {dim} is below the proven lower bound {(pp + 1) // 2}"
@@ -223,9 +228,10 @@ def _sweep_row(pair: tuple[int, int]) -> SweepRow:
 
 
 def _pair_cost(pair: tuple[int, int]) -> int:
-    # Estimated row time in units of about 0.011 ms: floor(delta^1.5) for the
-    # level degree delta = p*a - (p+3)/2, one less than the number of domain
-    # columns.  Fitted to serial row times to max_pa 150 (best of 5, in
+    # Estimated row time: floor(delta^1.5) for the level degree delta =
+    # p*a - (p+3)/2, one less than the number of domain columns, in units of
+    # about 0.011 ms of the elimination that rows ran before `kernel_dim`.
+    # Fitted to serial row times of that elimination to max_pa 150 (best of 5, in
     # process), a free exponent gives ms ~ 0.0161 delta^1.41 with log residual
     # sd 0.30; delta^1.5 gives sd 0.31, and adding p gives 0.29.  Spearman
     # 0.98.  Summed, the estimate reads 33/106/233/443/1338 ms against serial
@@ -235,15 +241,17 @@ def _pair_cost(pair: tuple[int, int]) -> int:
 
 
 # A sweep starts a pool only from this much estimated work.  Median wall s
-# of launched sweeps, 7 alternating pairs (9 at 80 and 84), on 2 vCPUs:
-#   max_pa       40     60     80     84    100    130
-#   work       2933   9389  20702  23285  39401  80491
-#   --jobs 2  0.239  0.281  0.326  0.309  0.462  0.775
-#   --jobs 1  0.145  0.234  0.330  0.371  0.559  0.936
-# Two workers break even at about max_pa 80, about 21000 units.  Only
-# that break-even was measured: above it the pool keeps every worker that
-# --jobs, the pairs and the CPUs allow.
-POOL_BREAK_EVEN = 22000
+# of launched sweeps, 9 alternating pairs, on 2 vCPUs, rows counted by
+# `kernel_dim`:
+#   max_pa       200     280     300     320      350      400      500
+#   work      254347  642259  775772  915723  1170148  1662212  3014178
+#   --jobs 2   0.404   0.643   0.720   0.760    0.801    0.970    1.385
+#   --jobs 1   0.346   0.626   0.729   0.756    0.907    1.114    1.751
+# Two workers break even at about max_pa 300 to 320; the pool starts at
+# max_pa 350, where it was faster in 8 of 9 pairs.  Only that break-even
+# was measured: above it the pool keeps every worker that --jobs, the
+# pairs and the CPUs allow.
+POOL_BREAK_EVEN = 1170000
 
 
 def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:

@@ -15,9 +15,9 @@ MAX_SWEEP_WORK, and `verify` refuses the identity suites for
 p > MAX_IDENTITY_P.  On a 2-vCPU machine, a level of about 2000 columns
 took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), and the
 qr and klemma identities took 9 s each at p = 47.  MAX_SWEEP_WORK is the
-estimated work of `--max-pa 500`, which took 50 s with two workers;
-`--max-pa 1000` would be about 6 times that and `--max-pa 2003` about 38
-times.
+estimated work of `--max-pa 500`, which took 1.3 s with two workers and
+1.6 s with one (best of 3); `--max-pa 1000` would be about 6 times that
+work and `--max-pa 2003` about 38 times.
 """
 
 from __future__ import annotations

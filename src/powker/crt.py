@@ -1,0 +1,185 @@
+"""Local kernels at the weights, and the kernel dimension counted by CRT.
+
+`_local_kernels` solves the triangular local systems of the `homspace`
+module docstring: at each weight w, the local kernel K_w on the Taylor
+coordinates c^w_k, k < min(e_w, x_bound + 1), one residue class mod
+p - 1 at a time.  `hom_space` maps their annihilators back to the
+domain and eliminates.
+
+`kernel_dim` counts the dimension with no basis.  Put G(x) = f(1, x), of
+degree d, and c = d - 1 - x_bound.  Each m of degree < d is its jets J_w
+at the weights, and m / G is the sum of S_w(y) / y^e_w, y = x - w,
+S_w = J_w / G_w(w + y) mod y^e_w, G_w = G / (x - w)^e_w.  The kernel
+takes each J_w in K_w, and m / G vanishing to order c + 1 at infinity
+(the cut: c conditions on the top c coefficients of the S_w) keeps
+deg m <= x_bound.  So dim = D0 - rank(cut), D0 the sum of dim K_w; on
+`ma_space` levels c = 1, and the cut reads S_w[e_w - 1].  With b the
+least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x = y^p - y,
+so G_w(w + y) = (y^(p-1) - 1)^b G'(w + y) / y^(e_w - b): a Taylor shift
+of G' alone.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, defaultdict
+from itertools import accumulate
+from operator import mul
+from typing import TYPE_CHECKING
+
+from ._pykernel import nullspace_rows, pack, rref, slot_width, unpack
+from .errors import ConsistencyError
+from .ffpoly import binom_mod
+from .steenrod import binomial_terms, one_plus_tau
+
+if TYPE_CHECKING:
+    from .homspace import HomProblem
+
+__all__ = ["kernel_dim"]
+
+
+def _vanishing_identity(problem: HomProblem) -> int | None:
+    """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
+
+    (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
+    """
+    power, rest = divmod(problem.h.t_degree(), problem.p.p - 1)
+    n = problem.delta - power
+    if rest or not 0 <= n <= problem.x_bound():
+        return None
+    return n if problem.h == one_plus_tau(problem.p, power) else None
+
+
+def _local_kernels(problem: HomProblem):
+    """Yield (w, e_w, kernels) for each weight w, ascending, where kernels[rho]
+    is the local kernel of residue class rho.  A local system depends on w
+    only through e_w, so each one is solved once per level.
+    """
+    twist = {g: c for g, _j, c in problem.h.iterterms()}
+    vanishing = _vanishing_identity(problem)
+    systems: dict[int, list[list[list[int]]]] = {}
+    for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
+        if e not in systems:
+            rhos = range(min(e, problem.p.p - 1))
+            systems[e] = [_local_system(problem, e, rho, twist, vanishing) for rho in rhos]
+        yield w, e, systems[e]
+
+
+def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
+    """A basis of the solutions of the identities n = rho, rho + q, ... < e
+    (q = p - 1) on the unknowns c^w_k, k = rho + idx * q <= min(e - 1,
+    x_bound), tracked through the triangular identities (see the `homspace`
+    module docstring); each step is certified, dim + rank == its width.
+    """
+    p = problem.p.p
+    q = p - 1
+    delta = problem.delta
+    size = len(range(rho, min(e - 1, problem.x_bound()) + 1, q))
+    kernel: list[list[int]] = []  # a basis of the solutions on the unknowns so far
+    for idx, n in enumerate(range(rho, e, q)):
+        if not kernel:
+            if idx >= size:
+                break
+            if n == vanishing:
+                kernel = [[0] * idx + [1]]
+            continue
+        # t-exponent -> coefficient, one column per kernel vector, then c^w_n's
+        columns: list[defaultdict[int, int]] = []
+        for vec in kernel:
+            col: defaultdict[int, int] = defaultdict(int)
+            for i, v in enumerate(vec):
+                k, s = rho + i * q, idx - i
+                ck = binom_mod(k, s, p) if v else 0
+                if ck:
+                    for g, c in binomial_terms(delta - k, p):
+                        col[(s + g) * q] += v * ck * c
+            columns.append(col)
+        if idx < size:
+            col = defaultdict(int)
+            for g, c in binomial_terms(delta - n, p):
+                col[g * q] += c
+            for g, c in twist.items():
+                col[g] -= c
+            columns.append(col)
+        width = len(columns)
+        powers = set().union(*columns)
+        matrix = [[col.get(g, 0) for col in columns] for g in powers]
+        reduced = rref(matrix, width, p)
+        kernel = [
+            [sum(map(mul, sol, coords)) % p for coords in zip(*kernel)] + sol[len(kernel) :]
+            for sol in nullspace_rows(reduced, width, p)
+        ]
+        if len(kernel) + len(reduced) != width:
+            raise ConsistencyError(
+                f"local certificate failed: dim {len(kernel)} + rank {len(reduced)} != {width}"
+            )
+    return kernel
+
+
+def _local_dim(problem: HomProblem) -> int:
+    """D0: the sum of the local kernels' dimensions over the weights."""
+    return sum(len(kernel) for _w, _e, kernels in _local_kernels(problem) for kernel in kernels)
+
+
+def kernel_dim(problem: HomProblem) -> int:
+    """The dimension of `hom_space(problem)`, counted by CRT without a basis:
+    D0 less the rank of the cut (see the module docstring).  Each step is
+    certified; a failed check raises ConsistencyError.
+    """
+    p = problem.p.p
+    q = p - 1
+    d = problem.rep.dim
+    c = d - 1 - problem.x_bound()
+    if not c:  # every sum of lifts has degree <= x_bound
+        return _local_dim(problem)
+    mult = Counter(problem.rep.weights)
+    b = min(mult.values()) if len(mult) == p else 0  # the least multiplicity over F_p
+    g_prime = [1]  # G' = G / (x^p - x)^b, highest power first
+    for u, e in mult.items():
+        for _ in range(e - b):
+            g_prime = [(g - u * prev) % p for prev, g in zip([0] + g_prime, g_prime + [0])]
+    if b * p + len(g_prime) - 1 != d:
+        raise ConsistencyError(f"count certificate failed: {b} * {p} + deg G' != {d}")
+    top_e = max(mult.values())
+    sparse = [0] * top_e  # (y^q - 1)^b, the same at every weight
+    sparse[::q] = [(-1) ** (b + j) * binom_mod(b, j, p) % p for j in range(len(sparse[::q]))]
+    width = slot_width(top_e * q * q + 1)
+
+    def times(f, g, e):  # f g mod y^e, by one product of packed ints
+        product = pack(f[:e], width) * pack(g[:e], width) & ((1 << 8 * width * e) - 1)
+        return unpack(product, e, width, p)
+
+    cut = []  # per lift, the first c coefficients of its partial fraction at infinity
+    for w, e, kernels in _local_kernels(problem):
+        # T = G'(w + y) / y^(e - b) mod y^e, by repeated synthetic division by x - w
+        coeffs, taylor = g_prime, []
+        for _ in range(min(2 * e - b, len(g_prime))):
+            coeffs = list(accumulate(coeffs, lambda acc, g: (acc * w + g) % p))
+            taylor.append(coeffs.pop())
+        if any(taylor[: e - b]) or not any(taylor[e - b : e - b + 1]):
+            raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
+        series = times(sparse, taylor[e - b :], e)  # G_w(w + y) mod y^e
+        tail = series[1:]
+        inv = [pow(series[0], p - 2, p)]
+        for _ in range(1, e):
+            inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
+        if times(series, inv, e) != [1] + [0] * (e - 1):
+            raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
+        # S = J inv mod y^e has S(y) / y^e = sum_i lam_i x^-i, y = x - w, where
+        # lam_i = sum_j C(i - 1, j - 1) w^(i - j) S[e - j] over j = 1 .. i
+        for rho, kernel in enumerate(kernels):
+            for vec in kernel:
+                tops = [  # S[e - 1], ..., S[e - c], with J_k = vec[idx] at k = rho + idx * q
+                    sum(v * inv[n - k] for k, v in zip(range(rho, n + 1, q), vec))
+                    for n in range(e - 1, e - 1 - c, -1)
+                ]
+                cut.append([
+                    sum(binom_mod(i, j, p) * pow(w, i - j, p) * tops[j] for j in range(i + 1)) % p
+                    for i in range(c)
+                ])
+    reduced = rref(list(zip(*cut)), len(cut), p)
+    dim = len(nullspace_rows(reduced, len(cut), p))
+    if dim + len(reduced) != len(cut):
+        raise ConsistencyError(
+            f"count certificate failed: dim {dim} + rank {len(reduced)} != {len(cut)}"
+        )
+    return dim

@@ -43,12 +43,14 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that happens for at most
   one n per level, found by one comparison with h.  Once the kernel is
   not {0}, each identity cuts it by one elimination with dim + 1
-  columns.  The system's rows are a basis of the annihilator of the
-  final kernel, read off that kernel's RREF by `nullspace_rows`: one unit
-  row per unknown when the kernel is {0}.  Any basis serves, since the
-  level's RREF below is unique.  A system depends on w only through
-  e_w, so weights of equal multiplicity share one.  Its rows are mapped
-  back to the domain coordinates through the Taylor functionals c^w_k,
+  columns.  The result is the local kernel K_w (`powker.crt`, which
+  also counts the level's dimension from the K_w alone by CRT).  A
+  system depends on w only through e_w, so weights of equal
+  multiplicity share one.  For `hom_space`, the annihilator of K_w,
+  read off its RREF by `nullspace_rows` (one unit row per unknown when
+  K_w is {0}; any basis serves, since the level's RREF below is
+  unique), is mapped back to the domain coordinates through the Taylor
+  functionals c^w_k,
   k < min(e_w, x_bound + 1), which the recurrence C(j, k) w^(j-k) =
   w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k) builds at each weight: a
   unit row is a functional itself.  Stacked, the rows number at most
@@ -91,22 +93,23 @@ membership guarantees as they go.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
+from .crt import _local_dim, _local_kernels, kernel_dim
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, f_of, filtration_rep, r_poly
-from .steenrod import binomial_terms, h_poly, one_plus_tau, parameters
+from .steenrod import h_poly, one_plus_tau, parameters
 
 __all__ = [
     "HomProblem",
     "HomSpace",
     "FpMatrix",
     "hom_space",
+    "kernel_dim",
     "ma_space",
     "family_element",
     "contains",
@@ -218,104 +221,41 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _vanishing_identity(problem: HomProblem) -> int | None:
-    """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
-
-    (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
-    """
-    power, rest = divmod(problem.h.t_degree(), problem.p.p - 1)
-    n = problem.delta - power
-    if rest or not 0 <= n <= problem.x_bound():
-        return None
-    return n if problem.h == one_plus_tau(problem.p, power) else None
-
-
 def _level_rows(problem: HomProblem) -> list[list[int]]:
     """Rows over the domain basis, lowest x-power first (column j holds c_j),
     whose common kernel is the kernel of the level map.
 
-    One reduced local system per weight w and residue class rho mod p - 1,
-    mapped back through the Taylor shift: at most min(e_w, x_bound + 1)
-    rows per weight, so at most deg_x f rows in all.  In the Taylor
-    coordinates a local system does not depend on w, only on e_w and rho,
-    so each one is solved once per level.
+    The annihilator of each local kernel, mapped back through the Taylor
+    shift: at most min(e_w, x_bound + 1) rows per weight, so at most
+    deg_x f rows in all.
     """
     p = problem.p.p
     q = p - 1
     top = problem.x_bound()
-    twist = {g: c for g, _j, c in problem.h.iterterms()}
-    vanishing = _vanishing_identity(problem)
-    systems: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}  # (e_w, rho) -> local rows
     rows = []
-    for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
+    local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
+    for w, e, kernels in _local_kernels(problem):
         # taylor[k][j] = C(j, k) w^(j - k), the coefficient of c_j in c^w_k,
         # by C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)
         taylor = [list(accumulate(range(top), lambda acc, _: w * acc % p, initial=1))]
         for k in range(1, min(e, top + 1)):
             prev = taylor[-1][k - 1 : top]
             taylor.append([0] * k + list(accumulate(prev, lambda acc, c: (w * acc + c) % p)))
-        for rho in range(min(e, q)):
-            local = systems.get((e, rho))
-            if local is None:
-                local = systems[e, rho] = _local_system(problem, e, rho, twist, vanishing)
-            for terms in local:
-                if len(terms) == 1:  # a unit row, c^w_k = 0
-                    rows.append(taylor[terms[0][0]])
-                else:
-                    coeffs = [v for _k, v in terms]
-                    functionals = [taylor[k] for k, _v in terms]
-                    rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
+        if e not in local:
+            local[e] = [
+                [(rho + idx * q, v) for idx, v in enumerate(row) if v]
+                for rho, kernel in enumerate(kernels)
+                for size in [len(range(rho, min(e - 1, top) + 1, q))]
+                for row in nullspace_rows(rref(kernel, size, p), size, p)
+            ]
+        for terms in local[e]:
+            if len(terms) == 1:  # a unit row, c^w_k = 0
+                rows.append(taylor[terms[0][0]])
+            else:
+                coeffs = [v for _k, v in terms]
+                functionals = [taylor[k] for k, _v in terms]
+                rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
     return rows
-
-
-def _local_system(problem, e, rho, twist, vanishing) -> list[list[tuple[int, int]]]:
-    """Rows equivalent to the identities n = rho, rho + q, ... < e (q = p - 1)
-    on the unknowns c^w_k, k = rho + idx * q <= min(e - 1, x_bound), each row
-    as its nonzero (k, entry) terms: a basis of the annihilator of the
-    kernel tracked through the triangular identities (see the module
-    docstring).
-    """
-    p = problem.p.p
-    q = p - 1
-    delta = problem.delta
-    size = len(range(rho, min(e - 1, problem.x_bound()) + 1, q))
-    kernel: list[list[int]] = []  # a basis of the solutions on the unknowns so far
-    for idx, n in enumerate(range(rho, e, q)):
-        if not kernel:
-            if idx >= size:
-                break
-            if n == vanishing:
-                kernel = [[0] * idx + [1]]
-            continue
-        # t-exponent -> coefficient, one column per kernel vector, then c^w_n's
-        columns: list[defaultdict[int, int]] = []
-        for vec in kernel:
-            col: defaultdict[int, int] = defaultdict(int)
-            for i, v in enumerate(vec):
-                k, s = rho + i * q, idx - i
-                ck = binom_mod(k, s, p) if v else 0
-                if ck:
-                    for g, c in binomial_terms(delta - k, p):
-                        col[(s + g) * q] += v * ck * c
-            columns.append(col)
-        if idx < size:
-            col = defaultdict(int)
-            for g, c in binomial_terms(delta - n, p):
-                col[g * q] += c
-            for g, c in twist.items():
-                col[g] -= c
-            columns.append(col)
-        width = len(columns)
-        powers = set().union(*columns)
-        matrix = [[col.get(g, 0) for col in columns] for g in powers]
-        kernel = [
-            [sum(map(mul, sol, coords)) % p for coords in zip(*kernel)] + sol[len(kernel) :]
-            for sol in nullspace_rows(rref(matrix, width, p), width, p)
-        ]
-    if not kernel:
-        return [[(rho + idx * q, 1)] for idx in range(size)]
-    local = nullspace_rows(rref(kernel, size, p), size, p)
-    return [[(rho + idx * q, v) for idx, v in enumerate(row) if v] for row in local]
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
@@ -324,8 +264,8 @@ def hom_space(problem: HomProblem) -> HomSpace:
     One `rref` of the stacked local rows, lowest x-power first; the basis
     is its `nullspace_rows` in reverse order (see the module docstring).
     The result is certified: the dimension and the rank add up to the
-    number of columns, and every row of the local systems, mapped back to
-    the domain, vanishes on every basis vector.
+    number of columns, every row of the local systems, mapped back to the
+    domain, vanishes on every basis vector, and D0 - c <= dim <= D0.
     """
     p = problem.p.p
     delta = problem.delta
@@ -340,6 +280,10 @@ def hom_space(problem: HomProblem) -> HomSpace:
         )
     if not annihilates(rows, vectors, ncols, p):
         raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
+    # the kernel is the cut's kernel in the local kernels' sum (see `kernel_dim`)
+    d0 = _local_dim(problem)
+    if not d0 - (problem.rep.dim - ncols) <= len(vectors) <= d0:
+        raise ConsistencyError(f"kernel certificate failed: dim {len(vectors)} against D0 = {d0}")
     basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)
     return HomSpace(problem, tuple(basis))
 

@@ -21,6 +21,7 @@ from powker.bounds import (
     rank_report,
     sweep,
 )
+from powker.errors import ConsistencyError
 from powker.ffpoly import PrimeModulus
 from powker.homspace import ma_space
 from powker.steenrod import parameters
@@ -59,6 +60,13 @@ class TestFiltrationTable:
             table = filtration_table(mod, a)
             mid = (q + 1) // 2
             assert table.rows[mid].hom_dim == ma_space(mod, a).dim == q - 1
+
+    def test_half_step_outside_the_window_raises(self, monkeypatch):
+        # a count that never drops keeps the plateau and the steps of 0 or 1,
+        # but puts ext11 = 0 at the level-a step
+        monkeypatch.setattr(bounds, "kernel_dim", lambda problem: problem.p.p)
+        with pytest.raises(ConsistencyError, match="ext11 = 0 at k=3"):
+            filtration_table(P5, 2)
 
     def test_serialization(self):
         table = filtration_table(P3, 2)
@@ -241,25 +249,25 @@ class TestSweep:
 
     def test_work_estimate_matches_the_break_even_table(self):
         # the summed work of the table beside POOL_BREAK_EVEN; two workers
-        # first start between max_pa 80 and 84, where they broke even
-        sizes = (40, 60, 80, 84, 100, 130)
+        # first start between max_pa 348 and 350, past their break-even
+        sizes = (200, 280, 300, 320, 348, 350, 400, 500)
         work = [sum(map(_pair_cost, _sweep_pairs(m))) for m in sizes]
-        assert work == [2933, 9389, 20702, 23285, 39401, 80491]
-        assert work[2] < bounds.POOL_BREAK_EVEN <= work[3]
+        assert work == [254347, 642259, 775772, 915723, 1157305, 1170148, 1662212, 3014178]
+        assert work[4] < bounds.POOL_BREAK_EVEN <= work[5]
         assert [_pair_cost(pair) for pair in [(3, 2), (3, 3), (5, 2), (3, 4)]] == [5, 14, 14, 27]
 
     def test_above_break_even_pool_is_min_of_jobs_and_cpus(self, monkeypatch, recording_pool):
         pools, submitted = recording_pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert sum(map(_pair_cost, _sweep_pairs(100))) >= bounds.POOL_BREAK_EVEN
-        report = sweep(100, parallelism=3)
+        assert sum(map(_pair_cost, _sweep_pairs(350))) >= bounds.POOL_BREAK_EVEN
+        report = sweep(350, parallelism=3)
         assert pools == [{"max_workers": 2}]
-        assert sorted(submitted[0]) == _sweep_pairs(100)
-        assert [(r.report.p.p, r.report.a) for r in report.rows] == _sweep_pairs(100)
+        assert sorted(submitted[0]) == _sweep_pairs(350)
+        assert [(r.report.p.p, r.report.a) for r in report.rows] == _sweep_pairs(350)
         # on 8 CPUs, --jobs 8 gets all 8 workers, not only as many as the
         # two-worker break-even would give
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        sweep(100, parallelism=8)
+        sweep(350, parallelism=8)
         assert pools[-1] == {"max_workers": 8}
 
     def test_serialization(self):

@@ -217,14 +217,15 @@ class Started(Exception):
 class TestSizeLimits:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        # every kernel build and identity check fails loudly, so no test
-        # here can start the extreme sizes it asks for
+        # every kernel build, dimension count and identity check fails
+        # loudly, so no test here can start the extreme sizes it asks for
         def start(*args):
             raise Started
 
         homspace._level.cache_clear()
         monkeypatch.setattr(homspace, "hom_space", start)
-        monkeypatch.setattr(bounds, "hom_space", start)
+        monkeypatch.setattr(homspace, "kernel_dim", start)
+        monkeypatch.setattr(bounds, "kernel_dim", start)
         for name in ("verify_qr_identity", "verify_substitution_identity", "verify_k_lemma"):
             monkeypatch.setattr(cli, name, start)
 

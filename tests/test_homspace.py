@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity
-from powker import homspace
+from powker import crt, homspace
+from powker.bounds import _sweep_pairs
 from powker.cli import main
 from powker.errors import ConsistencyError
 from powker.ffpoly import BiPoly, PrimeModulus
@@ -19,6 +20,7 @@ from powker.homspace import (
     div_r_shift,
     family_element,
     hom_space,
+    kernel_dim,
     ma_space,
     mul_r_shift,
     verify_k_lemma,
@@ -66,6 +68,11 @@ class TestHomProblem:
         # h = (1 + tau)^3 frees D^2 at w = -1: the kernel is spanned by f / (x + t)
         space = hom_space(HomProblem(mod, rep, 5, one_plus_tau(mod, 3)))
         assert space.basis == (linear(2) ** 2 * linear(5) * linear(-1) ** 2,)
+        # the count, with cuts of 0 to 5 rows, never walks F_p
+        for h in (BiPoly.one(mod), one_plus_tau(mod, 3)):
+            for delta in range(6):
+                prob = HomProblem(mod, rep, delta, h)
+                assert kernel_dim(prob) == hom_space(prob).dim
 
     def test_domain_order_and_truncation(self):
         # delta below the divisor degree: no truncation
@@ -441,6 +448,43 @@ class TestKernelCertificate:
         assert len(seen) == 1
 
 
+class TestCount:
+    """`kernel_dim` counts by CRT the dimension that `hom_space` builds a basis for."""
+
+    def test_sweep_levels(self):
+        for q, a in _sweep_pairs(200):
+            prob = homspace._ma_problem(PrimeModulus(q), a)
+            assert kernel_dim(prob) == hom_space(prob).dim == q - 1, (q, a)
+
+    @pytest.mark.parametrize("q,a", [(13, 3), (7, 4)])
+    def test_filtration_steps(self, q, a):
+        mod = PrimeModulus(q)
+        pars = parameters(mod, a)
+        for blocks in (a - 1, a - 2):  # the filtration and the pre-filtration
+            for k in range(q + 1):
+                prob = HomProblem(mod, filtration_rep(mod, blocks + 1, k), pars.delta, h_poly(mod, a))
+                assert kernel_dim(prob) == hom_space(prob).dim, (blocks, k)
+
+    def test_dropped_local_solution_is_caught(self, monkeypatch):
+        real = crt.nullspace_rows
+
+        def dropping(reduced, ncols, p):
+            return real(reduced, ncols, p)[:-1]
+
+        monkeypatch.setattr(crt, "nullspace_rows", dropping)
+        # x^8 at p = 3: c_3 is freed by identity 3, and identities 5 and 7 keep it
+        prob = HomProblem(P3, Representation(P3, (0,) * 8), 7, _tau_power(P3, 4))
+        with pytest.raises(ConsistencyError, match="local certificate failed"):
+            kernel_dim(prob)
+
+    def test_basis_outside_the_crt_bounds_is_caught(self, monkeypatch):
+        # with no rows the whole 7-column domain passes the elimination's own
+        # checks, but the level kernel lies in a sum of local kernels of dim 5
+        monkeypatch.setattr(homspace, "_level_rows", lambda problem: [])
+        with pytest.raises(ConsistencyError, match="dim 7 against D0 = 5"):
+            hom_space(homspace._ma_problem(P5, 2))
+
+
 @st.composite
 def _divisor_problems(draw):
     """Random homogeneous monic divisors: products of x - w*t and of r."""
@@ -513,7 +557,7 @@ class TestWeightLocalSystems:
     def test_equations_match_oracle(self, prob):
         f, h = _as_dict(prob.f), _as_dict(prob.h)
         space = hom_space(prob)
-        assert space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
+        assert kernel_dim(prob) == space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
         assert _basis_coordinates(space) == kernel_basis(prob.p.p, f, prob.delta, h)
 
     # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
@@ -536,7 +580,7 @@ class TestWeightLocalSystems:
             prob = HomProblem(mod, Representation(mod, (w,) * e), delta, _tau_power(mod, delta - n))
             space = hom_space(prob)
             assert _basis_coordinates(space) == _oracle_basis(prob)
-            assert space.dim == kernel_nullity(q, _as_dict(prob.f), delta, _as_dict(prob.h))
+            assert kernel_dim(prob) == space.dim == kernel_nullity(q, _as_dict(prob.f), delta, _as_dict(prob.h))
 
 
 class TestOracleAgreement:

@@ -29,16 +29,16 @@ def test_strip_ms_blanks_only_the_timings():
 
 def _sweep_digest(jobs: str) -> str:
     out = subprocess.run(
-        [sys.executable, str(SCRIPT), "--", "sweep", "--max-pa", "100", "--jobs", jobs],
+        [sys.executable, str(SCRIPT), "--", "sweep", "--max-pa", "350", "--jobs", jobs],
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     sha, command = out.rstrip("\n").split("  ", 1)
-    assert command == f"sweep --max-pa 100 --jobs {jobs}"
+    assert command == f"sweep --max-pa 350 --jobs {jobs}"
     return sha
 
 
 def test_sweep_digest_is_independent_of_jobs():
-    # max_pa 100 has enough estimated work for a pool of two workers
-    work = sum(map(bounds._pair_cost, bounds._sweep_pairs(100)))
+    # max_pa 350 has enough estimated work for a pool of two workers
+    work = sum(map(bounds._pair_cost, bounds._sweep_pairs(350)))
     assert work >= bounds.POOL_BREAK_EVEN
     assert _sweep_digest("1") == _sweep_digest("2")
