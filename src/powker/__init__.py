@@ -1,74 +1,63 @@
 """powker: exact mod-p kernels of the total power operation on F_p[t, x],
-Hom-dimension tables along the flag filtration, and torsion rank bounds."""
+Hom-dimension tables along the flag filtration, and torsion rank bounds.
 
-from ._version import __version__
-from .errors import ConsistencyError
-from .ffpoly import BiPoly, PrimeModulus, binom_mod
-from .steenrod import Parameters, h_poly, parameters, total_power
-from .reps import Representation, f_of, filtration_rep, r_poly
-from .homspace import (
-    FpMatrix,
-    HomProblem,
-    HomSpace,
-    contains,
-    div_r_shift,
-    family_element,
-    hom_space,
-    kernel_dim,
-    ma_space,
-    mul_r_shift,
-    verify_k_lemma,
-    verify_qr_identity,
-    verify_substitution_identity,
-)
-from .bounds import (
-    ORDER_STATEMENT,
-    FiltrationRow,
-    FiltrationTable,
-    RankReport,
-    SweepReport,
-    SweepRow,
-    filtration_table,
-    pre_filtration_dims,
-    rank_report,
-    sweep,
-)
+The names in `__all__` are resolved on first use (PEP 562), each from the
+module that defines it, so `import powker` compiles no engine module and
+a command compiles only the modules it runs.
+"""
 
-__all__ = [
-    "__version__",
-    "ConsistencyError",
-    "PrimeModulus",
-    "BiPoly",
-    "binom_mod",
-    "total_power",
-    "Parameters",
-    "parameters",
-    "h_poly",
-    "Representation",
-    "f_of",
-    "r_poly",
-    "filtration_rep",
-    "HomProblem",
-    "HomSpace",
-    "FpMatrix",
-    "hom_space",
-    "kernel_dim",
-    "ma_space",
-    "family_element",
-    "contains",
-    "mul_r_shift",
-    "div_r_shift",
-    "verify_qr_identity",
-    "verify_substitution_identity",
-    "verify_k_lemma",
-    "FiltrationRow",
-    "FiltrationTable",
-    "RankReport",
-    "SweepRow",
-    "SweepReport",
-    "filtration_table",
-    "pre_filtration_dims",
-    "rank_report",
-    "sweep",
-    "ORDER_STATEMENT",
-]
+# each public name and the module that defines it, in `__all__` order
+_HOME = {
+    "__version__": "_version",
+    "ConsistencyError": "errors",
+    "PrimeModulus": "ffpoly",
+    "BiPoly": "ffpoly",
+    "binom_mod": "ffpoly",
+    "total_power": "steenrod",
+    "Parameters": "steenrod",
+    "parameters": "steenrod",
+    "h_poly": "steenrod",
+    "Representation": "reps",
+    "f_of": "reps",
+    "r_poly": "reps",
+    "filtration_rep": "reps",
+    "HomProblem": "crt",
+    "HomSpace": "homspace",
+    "FpMatrix": "homspace",
+    "hom_space": "homspace",
+    "kernel_dim": "crt",
+    "ma_space": "homspace",
+    "family_element": "homspace",
+    "contains": "homspace",
+    "mul_r_shift": "homspace",
+    "div_r_shift": "homspace",
+    "verify_qr_identity": "homspace",
+    "verify_substitution_identity": "homspace",
+    "verify_k_lemma": "homspace",
+    "FiltrationRow": "bounds",
+    "FiltrationTable": "bounds",
+    "RankReport": "bounds",
+    "SweepRow": "bounds",
+    "SweepReport": "bounds",
+    "filtration_table": "bounds",
+    "pre_filtration_dims": "bounds",
+    "rank_report": "bounds",
+    "sweep": "bounds",
+    "ORDER_STATEMENT": "bounds",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from ._version import __version__
 from .errors import ConsistencyError
 from .ffpoly import PrimeModulus, _is_prime
-from .homspace import HomProblem, _ma_problem, kernel_dim
+from .crt import HomProblem, _check_ma_dim, _ma_problem, kernel_dim
 from .reps import filtration_rep
 from .steenrod import h_poly, parameters
 
@@ -188,15 +188,8 @@ def rank_report(p: PrimeModulus, a: int) -> RankReport:
     """Bounds on the torsion rank at level a, derived from dim of the kernel."""
     pp = p.p
     dim = kernel_dim(_ma_problem(p, a))
-    if dim < (pp + 1) // 2:
-        raise ConsistencyError(
-            f"kernel dimension {dim} is below the proven lower bound {(pp + 1) // 2}"
-        )
+    _check_ma_dim(pp, dim)
     ext11 = pp - dim
-    if not 1 <= ext11 <= (pp + 1) // 2:
-        raise ConsistencyError(
-            f"ext11 = {ext11} violates the proven window 1 <= rank <= {(pp + 1) // 2}"
-        )
     return RankReport(
         p=p,
         a=a,

@@ -18,21 +18,26 @@ qr and klemma identities took 9 s each at p = 47.  MAX_SWEEP_WORK is the
 estimated work of `--max-pa 500`, which took 1.3 s with two workers and
 1.6 s with one (best of 3); `--max-pa 1000` would be about 6 times that
 work and `--max-pa 2003` about 38 times.
+
+Importing this module loads no engine module: each command imports, when
+it runs, the engine it uses, `bounds` for `sweep` and `filtration` (with
+`crt`, never `homspace`) and `homspace` for `ma` and `verify` (never
+`bounds`), so `--help` and usage errors compile none.  The order of
+the imports sets a pass's peak RSS, since the source is compiled on every
+run where bytecode is not cached: `main` imports `ffpoly` (the largest
+module, about 1 MB of transient memory to compile) while nothing else of
+the engine is live, then the command's engine, and only then does
+`_build_parser` import `argparse`.  Importing `argparse` first raised
+the peak by 0.1-0.25 MB, and compiling `ffpoly` after `bounds` raised
+`sweep`'s by 0.11 MB.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
-from .bounds import filtration_table, pre_filtration_dims, rank_report, sweep
-from .bounds import _pair_cost, _sweep_pairs
 from .errors import ConsistencyError
-from .ffpoly import PrimeModulus
-from .homspace import contains, div_r_shift, family_element, ma_space, mul_r_shift
-from .homspace import verify_k_lemma, verify_qr_identity, verify_substitution_identity
-from .homspace import FpMatrix
 
 SUITES = ("family", "qr", "klemma", "subst", "shift", "all")
 MAX_COLUMNS = 2000
@@ -51,7 +56,9 @@ def _check_level(p: int, a: int) -> None:
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="powker",
         description="exact mod-p kernel spaces of the total power operation, "
@@ -89,7 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
+def _verify_checks(p, suite: str) -> list[dict]:
+    from .homspace import FpMatrix, _over_r, _times_r, contains, family_element, ma_space
+    from .homspace import verify_k_lemma, verify_qr_identity, verify_substitution_identity
+
     checks: list[dict] = []
 
     def add(name: str, ok: bool, detail: str | None = None):
@@ -125,10 +135,11 @@ def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
             if a == p.p:
                 break
             try:
+                # m is a basis vector of level a, so only the two images are
+                # checked: m r in level a + 1 and m r / r in level a
                 ok = True
                 for m in space.basis:
-                    lifted = mul_r_shift(p, a, a + 1, m)
-                    if div_r_shift(p, a + 1, lifted) != m:
+                    if _over_r(p, a + 1, _times_r(p, a, a + 1, m)) != m:
                         ok = False
                 trips.append((f"shift_roundtrip_a{a}", ok))
             except ConsistencyError as exc:
@@ -140,7 +151,7 @@ def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
     return checks
 
 
-def _render_verify(p: PrimeModulus, suite: str, checks: list[dict], fmt: str) -> str:
+def _render_verify(p, suite: str, checks: list[dict], fmt: str) -> str:
     ok = all(c["ok"] for c in checks)
     if fmt == "json":
         return json.dumps({"p": p.p, "suite": suite, "checks": checks, "ok": ok}, indent=2) + "\n"
@@ -155,6 +166,9 @@ def _render_verify(p: PrimeModulus, suite: str, checks: list[dict], fmt: str) ->
 
 
 def _cmd_ma(args) -> tuple[str, int]:
+    from .ffpoly import PrimeModulus
+    from .homspace import ma_space
+
     p = PrimeModulus(args.p)
     _check_level(p.p, args.a)
     space = ma_space(p, args.a)
@@ -175,6 +189,8 @@ def _cmd_ma(args) -> tuple[str, int]:
 
 
 def _cmd_verify(args) -> tuple[str, int]:
+    from .ffpoly import PrimeModulus
+
     p = PrimeModulus(args.p)
     if args.suite in ("family", "all"):
         _check_level(p.p, 2)
@@ -188,6 +204,9 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_filtration(args) -> tuple[str, int]:
+    from .bounds import filtration_table, pre_filtration_dims
+    from .ffpoly import PrimeModulus
+
     p = PrimeModulus(args.p)
     _check_level(p.p, args.a)
     table = filtration_table(p, args.a)
@@ -210,6 +229,8 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
+    from .bounds import _pair_cost, _sweep_pairs, sweep
+
     # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
     for q in (3, 5):
         _check_level(q, args.max_pa // q)
@@ -236,19 +257,26 @@ def _cmd_sweep(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-_DISPATCH = {
-    "ma": _cmd_ma,
-    "verify": _cmd_verify,
-    "filtration": _cmd_filtration,
-    "sweep": _cmd_sweep,
+# each command, and the engine module it runs, imported before the argument parser
+_COMMANDS = {
+    "ma": (_cmd_ma, "homspace"),
+    "verify": (_cmd_verify, "homspace"),
+    "filtration": (_cmd_filtration, "bounds"),
+    "sweep": (_cmd_sweep, "bounds"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        # ffpoly, which every engine imports, first: its compile is the
+        # largest transient of a pass, so it runs with no other engine live
+        __import__(f"{__package__}.ffpoly")
+        __import__(f"{__package__}.{_COMMANDS[argv[0]][1]}")
+    args = _build_parser().parse_args(argv)
     try:
-        text, code = _DISPATCH[args.command](args)
+        text, code = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

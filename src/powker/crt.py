@@ -17,6 +17,11 @@ deg m <= x_bound.  So dim = D0 - rank(cut), D0 the sum of dim K_w; on
 least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x = y^p - y,
 so G_w(w + y) = (y^(p-1) - 1)^b G'(w + y) / y^(e_w - b): a Taylor shift
 of G' alone.
+
+The problem itself, `HomProblem`, lives here too, with `_ma_problem`,
+the level-a problem at the half-flag divisor, and `_check_ma_dim`, the
+proven window of its dimension: the dimension count needs only this
+module, and `homspace` imports all three from it.
 """
 
 from __future__ import annotations
@@ -24,17 +29,86 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING
 
 from ._pykernel import nullspace_rows, pack, rref, slot_width, unpack
 from .errors import ConsistencyError
-from .ffpoly import binom_mod
-from .steenrod import binomial_terms, one_plus_tau
+from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
+from .reps import Representation, f_of, filtration_rep
+from .steenrod import binomial_terms, h_poly, one_plus_tau, parameters
 
-if TYPE_CHECKING:
-    from .homspace import HomProblem
+__all__ = ["HomProblem", "kernel_dim"]
 
-__all__ = ["kernel_dim"]
+
+class HomProblem(Frozen):
+    """Input data for one kernel computation: the divisor is f(rep), the
+    product of x - w t over the weights w of `rep`, repeats included."""
+
+    __slots__ = ("p", "rep", "delta", "h")
+
+    def __init__(self, p: PrimeModulus, rep: Representation, delta: int, h: BiPoly):
+        if not isinstance(rep, Representation):
+            raise TypeError("the divisor is given by a Representation")
+        if rep.modulus != p or h.modulus != p:
+            raise ValueError("modulus mismatch")
+        if delta < 0:
+            raise ValueError("delta must be non-negative")
+        if h.x_degree() > 0:
+            raise ValueError("h must be a polynomial in t alone")
+        if not h.coefficient(0, 0):
+            raise ValueError("h must have nonzero constant term")
+        self._set(p, rep, delta, h)
+
+    @property
+    def f(self) -> BiPoly:
+        """The divisor f(rep), multiplied out."""
+        return f_of(self.rep)
+
+    def x_bound(self) -> int:
+        """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
+        return min(self.delta, self.rep.dim - 1)
+
+    def domain_monomials(self) -> tuple[tuple[int, int], ...]:
+        """(t-exp, x-exp) pairs of the domain basis, highest x-power first."""
+        return tuple((self.delta - j, j) for j in range(self.x_bound(), -1, -1))
+
+    def coordinates(self, m: BiPoly) -> list[int]:
+        """m's coefficients on the domain basis, in `domain_monomials` order.
+
+        m must be zero or homogeneous of degree delta with x-degree at
+        most `x_bound()`; anything else raises ValueError.
+        """
+        if m.modulus != self.p:
+            raise ValueError("modulus mismatch")
+        top = self.x_bound()
+        vec = [0] * (top + 1)
+        if m.is_zero():
+            return vec
+        if not m.is_homogeneous() or m.degree() != self.delta:
+            raise ValueError(f"m must be homogeneous of degree {self.delta}")
+        if m.x_degree() > top:
+            raise ValueError("m lies outside the domain basis (x-degree too high)")
+        for _i, j, c in m.iterterms():
+            vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
+        return vec
+
+
+def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
+    rep = filtration_rep(p, a, (p.p + 1) // 2)
+    return HomProblem(p, rep, parameters(p, a).delta, h_poly(p, a))
+
+
+def _check_ma_dim(p: int, dim: int) -> None:
+    """Raise ConsistencyError unless dim, the dimension of a level-a
+    problem `_ma_problem`, lies in the proven window (p+1)/2 <= dim <= p - 1,
+    that is ext11 = p - dim in [1, (p+1)/2]."""
+    if dim < (p + 1) // 2:
+        raise ConsistencyError(
+            f"kernel dimension {dim} is below the proven lower bound {(p + 1) // 2}"
+        )
+    if dim > p - 1:
+        raise ConsistencyError(
+            f"ext11 = {p - dim} violates the proven window 1 <= rank <= {(p + 1) // 2}"
+        )
 
 
 def _vanishing_identity(problem: HomProblem) -> int | None:

@@ -1,8 +1,9 @@
 """Kernel spaces of the twisted power-operation congruence.
 
-A `HomProblem` fixes an odd prime p, a representation V of dimension d
-(a multiset of weights mod p), a degree delta and a twist h in F_p[t]
-with nonzero constant term.  Its divisor is the split polynomial
+A `HomProblem` (defined in `powker.crt`, beside the dimension count)
+fixes an odd prime p, a representation V of dimension d (a multiset of
+weights mod p), a degree delta and a twist h in F_p[t] with nonzero
+constant term.  Its divisor is the split polynomial
 f = f(V) = prod over the weights w of (x - w t), homogeneous and monic
 in x of x-degree d.  The associated linear map sends a homogeneous
 polynomial m of degree delta to the remainder of P(m) - h*m under
@@ -98,11 +99,11 @@ from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
-from .crt import _local_dim, _local_kernels, kernel_dim
+from .crt import HomProblem, _check_ma_dim, _local_dim, _local_kernels, _ma_problem, kernel_dim
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
-from .reps import Representation, f_of, filtration_rep, r_poly
-from .steenrod import h_poly, one_plus_tau, parameters
+from .reps import r_poly
+from .steenrod import one_plus_tau
 
 __all__ = [
     "HomProblem",
@@ -119,59 +120,6 @@ __all__ = [
     "verify_substitution_identity",
     "verify_k_lemma",
 ]
-
-
-class HomProblem(Frozen):
-    """Input data for one kernel computation: the divisor is f(rep), the
-    product of x - w t over the weights w of `rep`, repeats included."""
-
-    __slots__ = ("p", "rep", "delta", "h")
-
-    def __init__(self, p: PrimeModulus, rep: Representation, delta: int, h: BiPoly):
-        if not isinstance(rep, Representation):
-            raise TypeError("the divisor is given by a Representation")
-        if rep.modulus != p or h.modulus != p:
-            raise ValueError("modulus mismatch")
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
-        if h.x_degree() > 0:
-            raise ValueError("h must be a polynomial in t alone")
-        if not h.coefficient(0, 0):
-            raise ValueError("h must have nonzero constant term")
-        self._set(p, rep, delta, h)
-
-    @property
-    def f(self) -> BiPoly:
-        """The divisor f(rep), multiplied out."""
-        return f_of(self.rep)
-
-    def x_bound(self) -> int:
-        """Largest x-exponent in the domain basis, min(delta, deg_x f - 1)."""
-        return min(self.delta, self.rep.dim - 1)
-
-    def domain_monomials(self) -> tuple[tuple[int, int], ...]:
-        """(t-exp, x-exp) pairs of the domain basis, highest x-power first."""
-        return tuple((self.delta - j, j) for j in range(self.x_bound(), -1, -1))
-
-    def coordinates(self, m: BiPoly) -> list[int]:
-        """m's coefficients on the domain basis, in `domain_monomials` order.
-
-        m must be zero or homogeneous of degree delta with x-degree at
-        most `x_bound()`; anything else raises ValueError.
-        """
-        if m.modulus != self.p:
-            raise ValueError("modulus mismatch")
-        top = self.x_bound()
-        vec = [0] * (top + 1)
-        if m.is_zero():
-            return vec
-        if not m.is_homogeneous() or m.degree() != self.delta:
-            raise ValueError(f"m must be homogeneous of degree {self.delta}")
-        if m.x_degree() > top:
-            raise ValueError("m lies outside the domain basis (x-degree too high)")
-        for _i, j, c in m.iterterms():
-            vec[top - j] = c  # the domain lists x-exponents top, top - 1, ..., 0
-        return vec
 
 
 class HomSpace(Frozen):
@@ -288,18 +236,15 @@ def hom_space(problem: HomProblem) -> HomSpace:
     return HomSpace(problem, tuple(basis))
 
 
-def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
-    rep = filtration_rep(p, a, (p.p + 1) // 2)
-    return HomProblem(p, rep, parameters(p, a).delta, h_poly(p, a))
-
-
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     """The level-a kernel space at the half-flag divisor.
 
     f = r^(a-1) * prod over w = 0 .. (p-1)/2 of (x - w*t), with degree
     delta(a) and twist h(a).  Requiring the full r^a instead cuts the
     space down to the linear span of the family elements; the half-flag
-    space is the one whose dimension (p - 1) the rank reports use.
+    space is the one whose dimension (p - 1) the rank reports use.  A
+    dimension outside the proven window (p+1)/2 .. p - 1 raises
+    ConsistencyError, as in `bounds.rank_report`.
     """
     return _level(p, a)
 
@@ -308,7 +253,9 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
 def _level(p: PrimeModulus, a: int) -> HomSpace:
     # `verify` walks consecutive levels; eight entries also cover every
     # pair of levels up to p = 7.
-    return hom_space(_ma_problem(p, a))
+    space = hom_space(_ma_problem(p, a))
+    _check_ma_dim(p.p, space.dim)
+    return space
 
 
 def family_element(p: PrimeModulus, k: int) -> BiPoly:
@@ -360,6 +307,11 @@ def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
         raise ValueError(f"b must be at least a, got {b} < {a}")
     if not _in_level(p, a, m):
         raise ValueError("m is not in the level-a kernel space")
+    return _times_r(p, a, b, m)
+
+
+def _times_r(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
+    """m * r^(b-a) for m in level a, checked to lie in level b."""
     out = m * r_poly(p) ** (b - a)
     if not _in_level(p, b, out):
         raise ConsistencyError(
@@ -374,6 +326,11 @@ def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
         raise ValueError(f"a must satisfy 3 <= a <= p, got {a}")
     if not _in_level(p, a, m):
         raise ValueError("m is not in the level-a kernel space")
+    return _over_r(p, a, m)
+
+
+def _over_r(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
+    """m / r for m in level a, checked to be exact and to lie in level a - 1."""
     quotient, rem = m.divmod_x(r_poly(p))
     if not rem.is_zero():
         raise ConsistencyError(f"level-{a} kernel element is not divisible by r")

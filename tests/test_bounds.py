@@ -106,6 +106,17 @@ class TestRankReport:
         rep = rank_report(P7, 3)
         assert rep.rank_lower <= rep.rank_e2 <= rep.rank_upper
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 11])
+    def test_dimension_outside_the_window_raises(self, q, monkeypatch):
+        # (q + 1) / 2 <= dim <= q - 1, checked by rank_report and by each `ma` level
+        for dim in range(q + 2):
+            monkeypatch.setattr(bounds, "kernel_dim", lambda problem: dim)
+            if (q + 1) // 2 <= dim <= q - 1:
+                assert rank_report(PrimeModulus(q), 2).dim_ma == dim
+            else:
+                with pytest.raises(ConsistencyError, match="proven"):
+                    rank_report(PrimeModulus(q), 2)
+
 
 def _without_ms(report) -> str:
     data = report.to_json()
@@ -286,21 +297,57 @@ class TestSweep:
         assert len(rows) == len(report.rows)
 
 
+ENGINE = {
+    "powker.ffpoly", "powker.steenrod", "powker.reps", "powker.crt",
+    "powker.homspace", "powker.bounds", "powker._pykernel",
+}
+COUNT = {"powker.ffpoly", "powker.steenrod", "powker.reps", "powker.crt", "powker._pykernel"}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The engine and pool modules loaded after running `code` in a new interpreter."""
+    watched = ENGINE | {"concurrent.futures", "logging", "dataclasses", "inspect", "powker._kernel"}
+    script = f"import sys\n{code}\nimport json\nprint(json.dumps(sorted({watched!r} & set(sys.modules))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _main(argv: list[str]) -> str:
+    return f"import powker.cli\ntry:\n    powker.cli.main({argv!r})\nexcept SystemExit:\n    pass"
+
+
+@pytest.mark.parametrize(
+    "code,loaded",
+    [
+        ("import powker", set()),
+        ("import powker.cli", set()),
+        ("import powker\npowker.kernel_dim", COUNT),
+        (_main(["--help"]), set()),
+        (_main([]), set()),
+        (_main(["nope"]), set()),
+        (_main(["sweep", "--max-pa", "30", "--format", "csv"]), COUNT | {"powker.bounds"}),
+        (_main(["filtration", "--p", "5", "--a", "3"]), COUNT | {"powker.bounds"}),
+        (_main(["verify", "--p", "3", "--suite", "all"]), COUNT | {"powker.homspace"}),
+        (_main(["ma", "--p", "5", "--a", "2"]), COUNT | {"powker.homspace"}),
+    ],
+    ids=["package", "cli", "count-name", "help", "no-command", "unknown-command", "sweep", "filtration", "verify", "ma"],
+)
+def test_each_command_loads_only_its_engine(code, loaded):
+    # `sweep` and `filtration` never load homspace, `verify` and `ma` never
+    # load bounds, and neither the package nor --help nor a usage error
+    # loads any engine module
+    assert _loaded_after(code) == loaded
+
+
 def test_cli_import_leaves_out_the_pool(tmp_path):
     # only a pooled sweep imports concurrent.futures, and with it logging;
     # no module imports dataclasses, which brings in inspect; the CLI never
     # loads the benchmark's kernel shim
-    left_out = "{'concurrent.futures', 'logging', 'dataclasses', 'inspect', 'powker._kernel'}"
-    code = f"import sys, powker.cli; print(sorted({left_out} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    left_out = {"concurrent.futures", "logging", "dataclasses", "inspect", "powker._kernel"}
+    assert not _loaded_after("import powker.cli") & left_out
     # a sweep too small to repay a pool runs in process, whatever --jobs says
     out = tmp_path / "sweep.json"
-    argv = ["sweep", "--max-pa", "60", "--jobs", "2", "--out", str(out)]
-    code = f"import sys, powker.cli; powker.cli.main({argv!r}); print(sorted({left_out} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert not _loaded_after(_main(["sweep", "--max-pa", "60", "--jobs", "2", "--out", str(out)])) & left_out
     assert len(json.loads(out.read_text())["rows"]) == len(_sweep_pairs(60))

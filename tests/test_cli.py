@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from powker import __version__, bounds, cli, homspace
+from powker import __version__, bounds, cli, crt, homspace
 from powker.bounds import _sweep_pairs
 from powker.cli import main
 from powker.reps import Representation
@@ -82,7 +82,7 @@ class TestVerify:
     def test_each_level_built_once(self, capsys, monkeypatch):
         levels = []
         builds = []
-        real_filtration_rep, real_level_rows = homspace.filtration_rep, homspace._level_rows
+        real_filtration_rep, real_level_rows = crt.filtration_rep, homspace._level_rows
 
         def counting_filtration_rep(p, a, k):
             rep = real_filtration_rep(p, a, k)
@@ -94,7 +94,7 @@ class TestVerify:
             return real_level_rows(problem)
 
         homspace._level.cache_clear()
-        monkeypatch.setattr(homspace, "filtration_rep", counting_filtration_rep)
+        monkeypatch.setattr(crt, "filtration_rep", counting_filtration_rep)
         monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
         assert code == 0
@@ -102,6 +102,20 @@ class TestVerify:
         expected = [(a - 1) * 5 + 3 for a in range(2, 6)]
         assert levels == expected
         assert builds == expected  # one operator per level, membership included
+
+    def test_level_outside_the_proven_window_exits_1(self, capsys, monkeypatch):
+        # a local solver that loses one solution: the level's basis passes its
+        # own certificates, but its dimension falls below (p + 1) / 2
+        real = crt._local_system
+        monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
+        homspace._level.cache_clear()
+        try:
+            for argv in (["ma", "--p", "5", "--a", "2"], ["verify", "--p", "5", "--suite", "shift"]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (1, "")
+                assert "internal consistency error: kernel dimension 0 is below the proven lower bound 3" in err
+        finally:
+            homspace._level.cache_clear()
 
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "qr", "--format", "json")
@@ -224,10 +238,10 @@ class TestSizeLimits:
 
         homspace._level.cache_clear()
         monkeypatch.setattr(homspace, "hom_space", start)
-        monkeypatch.setattr(homspace, "kernel_dim", start)
-        monkeypatch.setattr(bounds, "kernel_dim", start)
+        for module in (crt, homspace, bounds):
+            monkeypatch.setattr(module, "kernel_dim", start)
         for name in ("verify_qr_identity", "verify_substitution_identity", "verify_k_lemma"):
-            monkeypatch.setattr(cli, name, start)
+            monkeypatch.setattr(homspace, name, start)
 
     @pytest.mark.parametrize(
         "argv",

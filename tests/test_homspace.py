@@ -1,5 +1,6 @@
 """Tests for kernel spaces: goldens, invariants, shifts, identity suite."""
 
+import json
 import random
 
 import pytest
@@ -325,6 +326,23 @@ class TestIdentitySuite:
     def test_wrong_r_exits_1(self, wrong_r, capsys):
         assert main(["verify", "--p", "5", "--suite", "klemma"]) == 1
         assert "k_polynomial_identity" in capsys.readouterr().out
+
+    def test_wrong_r_fails_the_shift_round_trips(self, wrong_r, capsys):
+        # the suite checks only the images: m r' must fall outside level a + 1
+        assert main(["verify", "--p", "5", "--suite", "shift", "--format", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        trips = [c for c in checks if c["name"].startswith("shift_roundtrip")]
+        assert [c["name"] for c in trips] == [f"shift_roundtrip_a{a}" for a in (2, 3, 4)]
+        assert not any(c["ok"] for c in trips)
+        assert all("fell outside level" in c["detail"] for c in trips)
+
+    def test_shift_suite_checks_each_image_once(self, monkeypatch, capsys):
+        # 30 round trips at p = 7, each checking m r and m r / r once
+        calls = []
+        real = homspace.contains
+        monkeypatch.setattr(homspace, "contains", lambda space, m: calls.append(1) or real(space, m))
+        assert main(["verify", "--p", "7", "--suite", "shift"]) == 0
+        assert len(calls) == 60
 
 
 class TestEchelonForm:
