@@ -11,16 +11,15 @@ dimension into an Ext count ext11 = p - hom_dim.
 torsion subgroup: the proven window is 1 <= rank <= (p+1)/2, the value
 observed at the algebraic level is rank_e2 = p - dim, and rank_e2 == 1
 is the single-summand (Z/p) outcome.  `sweep` runs rank reports over
-every pair (p, a) with p*a below a budget, in a process pool when the
-estimated work repays one; the report content is deterministic and
-independent of the worker count.
+every pair (p, a) with p*a up to a budget max_pa, in a process pool
+from max_pa POOL_MIN_PA on, where one repays its start; the report
+content is deterministic and independent of the worker count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from math import isqrt
 from typing import NamedTuple
 
 from ._version import __version__
@@ -220,31 +219,16 @@ def _sweep_row(pair: tuple[int, int]) -> SweepRow:
     return SweepRow(report, ms)
 
 
-def _pair_cost(pair: tuple[int, int]) -> int:
-    # Estimated row time: floor(delta^1.5) for the level degree delta =
-    # p*a - (p+3)/2, one less than the number of domain columns, in units of
-    # about 0.011 ms of the elimination that rows ran before `kernel_dim`.
-    # Fitted to serial row times of that elimination to max_pa 150 (best of 5, in
-    # process), a free exponent gives ms ~ 0.0161 delta^1.41 with log residual
-    # sd 0.30; delta^1.5 gives sd 0.31, and adding p gives 0.29.  Spearman
-    # 0.98.  Summed, the estimate reads 33/106/233/443/1338 ms against serial
-    # totals of 33/87/197/400/1413 ms at max_pa 40/60/80/100/150.
-    q, a = pair
-    return isqrt(parameters(PrimeModulus(q), a).delta ** 3)
-
-
-# A sweep starts a pool only from this much estimated work.  Median wall s
-# of launched sweeps, 9 alternating pairs, on 2 vCPUs, rows counted by
-# `kernel_dim`:
+# A sweep starts a pool only from this max_pa.  Median wall s of launched
+# sweeps, 9 alternating pairs, on 2 vCPUs, rows counted by `kernel_dim`:
 #   max_pa       200     280     300     320      350      400      500
-#   work      254347  642259  775772  915723  1170148  1662212  3014178
 #   --jobs 2   0.404   0.643   0.720   0.760    0.801    0.970    1.385
 #   --jobs 1   0.346   0.626   0.729   0.756    0.907    1.114    1.751
 # Two workers break even at about max_pa 300 to 320; the pool starts at
 # max_pa 350, where it was faster in 8 of 9 pairs.  Only that break-even
 # was measured: above it the pool keeps every worker that --jobs, the
 # pairs and the CPUs allow.
-POOL_BREAK_EVEN = 1170000
+POOL_MIN_PA = 350
 
 
 def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
@@ -252,12 +236,12 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
 
     Pairs are ordered by p ascending then a ascending.  Rows may be
     computed by a process pool of min(parallelism, pairs, CPUs) workers,
-    counting only the CPUs this process may run on, but only when their
-    estimated work reaches POOL_BREAK_EVEN; a sweep too small to repay a
-    pool runs in this process.  The pool gets the pairs costliest first,
-    by the same estimate from (p, a), so that no worker idles while the
-    largest pair runs last; the merged report is in (p, a) order and does
-    not depend on the worker count (timings aside).
+    counting only the CPUs this process may run on, but only from max_pa
+    POOL_MIN_PA on; a sweep too small to repay a pool runs in this
+    process.  The pool gets the pairs in order of their level degree
+    delta, largest first, so that no worker idles while the largest pair
+    runs last; the merged report is in (p, a) order and does not depend
+    on the worker count (timings aside).
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
@@ -269,17 +253,14 @@ def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
     else:
         cpus = os.cpu_count() or 1
     workers = min(parallelism, len(pairs), cpus)
-    if workers > 1:
-        cost = {pair: _pair_cost(pair) for pair in pairs}
-        if sum(cost.values()) < POOL_BREAK_EVEN:  # too little work to repay a pool
-            workers = 1
-    if workers <= 1:
+    if workers <= 1 or max_pa < POOL_MIN_PA:  # too little work to repay a pool
         rows = [_sweep_row(pair) for pair in pairs]
     else:
         import concurrent.futures  # only a parallel sweep pays for the pool's imports
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            longest_first = sorted(pairs, key=cost.__getitem__, reverse=True)
+            degree = {(q, a): parameters(PrimeModulus(q), a).delta for q, a in pairs}
+            longest_first = sorted(pairs, key=degree.__getitem__, reverse=True)
             done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))
         rows = [done[pair] for pair in pairs]
     engine = f"powker/{__version__} (python)"

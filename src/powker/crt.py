@@ -33,7 +33,7 @@ from operator import mul
 from ._pykernel import nullspace_rows, pack, rref, slot_width, unpack
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
-from .reps import Representation, f_of, filtration_rep
+from .reps import Representation, _linear_product, f_of, filtration_rep
 from .steenrod import binomial_terms, h_poly, one_plus_tau, parameters
 
 __all__ = ["HomProblem", "kernel_dim"]
@@ -207,10 +207,8 @@ def kernel_dim(problem: HomProblem) -> int:
         return _local_dim(problem)
     mult = Counter(problem.rep.weights)
     b = min(mult.values()) if len(mult) == p else 0  # the least multiplicity over F_p
-    g_prime = [1]  # G' = G / (x^p - x)^b, highest power first
-    for u, e in mult.items():
-        for _ in range(e - b):
-            g_prime = [(g - u * prev) % p for prev, g in zip([0] + g_prime, g_prime + [0])]
+    # G' = G / (x^p - x)^b, highest power first
+    g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], p)
     if b * p + len(g_prime) - 1 != d:
         raise ConsistencyError(f"count certificate failed: {b} * {p} + deg G' != {d}")
     top_e = max(mult.values())

@@ -99,7 +99,7 @@ from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
-from .crt import HomProblem, _check_ma_dim, _local_dim, _local_kernels, _ma_problem, kernel_dim
+from .crt import HomProblem, _check_ma_dim, _local_kernels, _ma_problem, kernel_dim
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import r_poly
@@ -169,9 +169,10 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _level_rows(problem: HomProblem) -> list[list[int]]:
+def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
     """Rows over the domain basis, lowest x-power first (column j holds c_j),
-    whose common kernel is the kernel of the level map.
+    whose common kernel is the kernel of the level map, and D0, the sum of
+    the local kernels' dimensions over the weights.
 
     The annihilator of each local kernel, mapped back through the Taylor
     shift: at most min(e_w, x_bound + 1) rows per weight, so at most
@@ -181,8 +182,10 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
     q = p - 1
     top = problem.x_bound()
     rows = []
+    d0 = 0
     local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
     for w, e, kernels in _local_kernels(problem):
+        d0 += sum(map(len, kernels))
         # taylor[k][j] = C(j, k) w^(j - k), the coefficient of c_j in c^w_k,
         # by C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)
         taylor = [list(accumulate(range(top), lambda acc, _: w * acc % p, initial=1))]
@@ -203,7 +206,7 @@ def _level_rows(problem: HomProblem) -> list[list[int]]:
                 coeffs = [v for _k, v in terms]
                 functionals = [taylor[k] for k, _v in terms]
                 rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
-    return rows
+    return rows, d0
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
@@ -218,7 +221,7 @@ def hom_space(problem: HomProblem) -> HomSpace:
     p = problem.p.p
     delta = problem.delta
     ncols = problem.x_bound() + 1
-    rows = _level_rows(problem)
+    rows, d0 = _level_rows(problem)
     reduced = rref(rows, ncols, p)
     # free columns descending: highest x-power first, the domain order
     vectors = nullspace_rows(reduced, ncols, p)[::-1]
@@ -229,7 +232,6 @@ def hom_space(problem: HomProblem) -> HomSpace:
     if not annihilates(rows, vectors, ncols, p):
         raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
     # the kernel is the cut's kernel in the local kernels' sum (see `kernel_dim`)
-    d0 = _local_dim(problem)
     if not d0 - (problem.rep.dim - ncols) <= len(vectors) <= d0:
         raise ConsistencyError(f"kernel certificate failed: dim {len(vectors)} against D0 = {d0}")
     basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)

@@ -56,13 +56,18 @@ class Representation(Frozen):
         return cls(PrimeModulus(data["p"]), tuple(data["weights"]))
 
 
+def _linear_product(weights, p: int) -> list[int]:
+    """The coefficients of prod_w (x - w) over F_p, highest power first:
+    entry j is the scalar of t^j x^(n-j) in the homogeneous prod_w (x - w*t)."""
+    coeffs = [1]
+    for w in weights:
+        coeffs = [(a - w * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def f_of(v: Representation) -> BiPoly:
     """The split polynomial prod_w (x - w*t), monic in x of degree dim."""
-    p = v.modulus.p
-    # coeffs[j] is the scalar of t^j x^(n-j) in the product of the first n factors
-    coeffs = [1]
-    for w in v.weights:
-        coeffs = [(a - w * b) % p for a, b in zip(coeffs + [0], [0] + coeffs)]
+    coeffs = _linear_product(v.weights, v.modulus.p)
     n = len(coeffs) - 1
     return BiPoly(v.modulus, {(j, n - j): c for j, c in enumerate(coeffs)})
 

@@ -13,4 +13,4 @@ def pool_at_any_work(monkeypatch):
     then clamped by --jobs, the pairs and the CPUs alone."""
     from powker import bounds
 
-    monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", 1)
+    monkeypatch.setattr(bounds, "POOL_MIN_PA", 6)

@@ -14,7 +14,6 @@ import powker
 from powker import __version__, bounds
 from powker.bounds import (
     ORDER_STATEMENT,
-    _pair_cost,
     _sweep_pairs,
     filtration_table,
     pre_filtration_dims,
@@ -247,30 +246,23 @@ class TestSweep:
         report = sweep(60, parallelism=2)
         assert pools == []
         assert _without_ms(report) == _without_ms(serial)
-        # the pool starts once the summed estimate reaches POOL_BREAK_EVEN,
-        # and then with every worker that the jobs, pairs and CPUs allow
-        work = sum(map(_pair_cost, _sweep_pairs(12)))
-        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work + 1)
+        # max_pa 349, one below the measured break-even, still runs in process
+        assert bounds.POOL_MIN_PA == 350
+        sweep(349, parallelism=8)
+        assert pools == []
+        # the pool starts from max_pa POOL_MIN_PA on, and then with every
+        # worker that the jobs, pairs and CPUs allow
+        monkeypatch.setattr(bounds, "POOL_MIN_PA", 13)
         sweep(12, parallelism=8)
         assert pools == []
-        monkeypatch.setattr(bounds, "POOL_BREAK_EVEN", work)
+        monkeypatch.setattr(bounds, "POOL_MIN_PA", 12)
         sweep(12, parallelism=8)
         sweep(12, parallelism=3)
         assert pools == [{"max_workers": len(_sweep_pairs(12))}, {"max_workers": 3}]
 
-    def test_work_estimate_matches_the_break_even_table(self):
-        # the summed work of the table beside POOL_BREAK_EVEN; two workers
-        # first start between max_pa 348 and 350, past their break-even
-        sizes = (200, 280, 300, 320, 348, 350, 400, 500)
-        work = [sum(map(_pair_cost, _sweep_pairs(m))) for m in sizes]
-        assert work == [254347, 642259, 775772, 915723, 1157305, 1170148, 1662212, 3014178]
-        assert work[4] < bounds.POOL_BREAK_EVEN <= work[5]
-        assert [_pair_cost(pair) for pair in [(3, 2), (3, 3), (5, 2), (3, 4)]] == [5, 14, 14, 27]
-
     def test_above_break_even_pool_is_min_of_jobs_and_cpus(self, monkeypatch, recording_pool):
         pools, submitted = recording_pool
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert sum(map(_pair_cost, _sweep_pairs(350))) >= bounds.POOL_BREAK_EVEN
         report = sweep(350, parallelism=3)
         assert pools == [{"max_workers": 2}]
         assert sorted(submitted[0]) == _sweep_pairs(350)

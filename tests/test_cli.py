@@ -268,7 +268,7 @@ class TestSizeLimits:
         [
             ["ma", "--p", "3", "--a", "667"],  # 1999 columns
             ["filtration", "--p", "13", "--a", "154"],  # 1995
-            ["sweep", "--max-pa", "500"],  # 499 columns; the largest work allowed
+            ["sweep", "--max-pa", "500"],  # 499 columns; the largest sweep allowed
             ["verify", "--p", "1327", "--suite", "family"],  # 1990
             ["verify", "--p", "43", "--suite", "shift"],  # 1827
             ["verify", "--p", "47", "--suite", "klemma"],
@@ -281,20 +281,15 @@ class TestSizeLimits:
     @pytest.mark.parametrize("max_pa", [501, 1000, 2003])
     def test_sweep_over_the_work_limit_exits_2(self, capsys, max_pa):
         # each level is narrow enough (997 columns at 1000, 1999 at 2003),
-        # but the summed estimate is over that of --max-pa 500
-        work = sum(map(bounds._pair_cost, _sweep_pairs(max_pa)))
+        # but the budget is over --max-pa 500
         code, out, err = run_cli(capsys, "sweep", "--max-pa", str(max_pa))
         assert (code, out) == (2, "")
-        assert f"estimated work {work}, over the limit of 3014178" in err
+        assert f"sweep to max_pa {max_pa} is over the limit of 500" in err
 
-    def test_sweep_work_limit_is_that_of_max_pa_500(self):
-        assert sum(map(bounds._pair_cost, _sweep_pairs(500))) == cli.MAX_SWEEP_WORK == 3014178
-
-    def test_sweep_work_limit_reads_the_summed_estimate(self, capsys, monkeypatch):
-        limit = sum(map(bounds._pair_cost, _sweep_pairs(40)))
-        monkeypatch.setattr(cli, "MAX_SWEEP_WORK", limit)
+    def test_sweep_limit_reads_max_sweep_pa(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_PA", 40)
         for max_pa in range(6, 61):
-            if sum(map(bounds._pair_cost, _sweep_pairs(max_pa))) > limit:
+            if max_pa > 40:
                 assert run_cli(capsys, "sweep", "--max-pa", str(max_pa))[0] == 2
             else:
                 with pytest.raises(Started):

@@ -496,9 +496,11 @@ class TestCount:
             kernel_dim(prob)
 
     def test_basis_outside_the_crt_bounds_is_caught(self, monkeypatch):
-        # with no rows the whole 7-column domain passes the elimination's own
-        # checks, but the level kernel lies in a sum of local kernels of dim 5
-        monkeypatch.setattr(homspace, "_level_rows", lambda problem: [])
+        # with no rows (D0 kept) the whole 7-column domain passes the
+        # elimination's own checks, but the level kernel lies in a sum of
+        # local kernels of dim 5
+        real = homspace._level_rows
+        monkeypatch.setattr(homspace, "_level_rows", lambda problem: ([], real(problem)[1]))
         with pytest.raises(ConsistencyError, match="dim 7 against D0 = 5"):
             hom_space(homspace._ma_problem(P5, 2))
 
@@ -524,6 +526,8 @@ class TestOperatorProperties:
         space = hom_space(prob)
         assert _basis_coordinates(space) == _oracle_basis(prob)
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
+        # the D0 that `hom_space` certifies against, read off its own rows' pass
+        assert homspace._level_rows(prob)[1] == crt._local_dim(prob)
 
         for b in space.basis:
             assert contains(space, b) and _divides(prob, b)
