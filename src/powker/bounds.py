@@ -11,14 +11,12 @@ dimension into an Ext count ext11 = p - hom_dim.
 torsion subgroup: the proven window is 1 <= rank <= (p+1)/2, the value
 observed at the algebraic level is rank_e2 = p - dim, and rank_e2 == 1
 is the single-summand (Z/p) outcome.  `sweep` runs rank reports over
-every pair (p, a) with p*a up to a budget max_pa, in a process pool
-from max_pa POOL_MIN_PA on, where one repays its start; the report
-content is deterministic and independent of the worker count.
+every pair (p, a) with p*a up to a budget max_pa, one after another in
+the calling process; the report content is deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import NamedTuple
 
@@ -211,57 +209,16 @@ def _sweep_pairs(max_pa: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _sweep_row(pair: tuple[int, int]) -> SweepRow:
-    q, a = pair
-    start = time.perf_counter()
-    report = rank_report(PrimeModulus(q), a)
-    ms = (time.perf_counter() - start) * 1000.0
-    return SweepRow(report, ms)
-
-
-# A sweep starts a pool only from this max_pa.  Median wall s of launched
-# sweeps, 9 alternating pairs, on 2 vCPUs, rows counted by `kernel_dim`:
-#   max_pa       200     280     300     320      350      400      500
-#   --jobs 2   0.404   0.643   0.720   0.760    0.801    0.970    1.385
-#   --jobs 1   0.346   0.626   0.729   0.756    0.907    1.114    1.751
-# Two workers break even at about max_pa 300 to 320; the pool starts at
-# max_pa 350, where it was faster in 8 of 9 pairs.  Only that break-even
-# was measured: above it the pool keeps every worker that --jobs, the
-# pairs and the CPUs allow.
-POOL_MIN_PA = 350
-
-
-def sweep(max_pa: int, parallelism: int = 1) -> SweepReport:
-    """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa.
-
-    Pairs are ordered by p ascending then a ascending.  Rows may be
-    computed by a process pool of min(parallelism, pairs, CPUs) workers,
-    counting only the CPUs this process may run on, but only from max_pa
-    POOL_MIN_PA on; a sweep too small to repay a pool runs in this
-    process.  The pool gets the pairs in order of their level degree
-    delta, largest first, so that no worker idles while the largest pair
-    runs last; the merged report is in (p, a) order and does not depend
-    on the worker count (timings aside).
+def sweep(max_pa: int) -> SweepReport:
+    """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa,
+    in this process, ordered by p ascending then a ascending.
     """
     if max_pa < 6:
         raise ValueError(f"max_pa must be at least 6, got {max_pa}")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
-    pairs = _sweep_pairs(max_pa)
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the host's
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(parallelism, len(pairs), cpus)
-    if workers <= 1 or max_pa < POOL_MIN_PA:  # too little work to repay a pool
-        rows = [_sweep_row(pair) for pair in pairs]
-    else:
-        import concurrent.futures  # only a parallel sweep pays for the pool's imports
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            degree = {(q, a): parameters(PrimeModulus(q), a).delta for q, a in pairs}
-            longest_first = sorted(pairs, key=degree.__getitem__, reverse=True)
-            done = dict(zip(longest_first, pool.map(_sweep_row, longest_first)))
-        rows = [done[pair] for pair in pairs]
+    rows = []
+    for q, a in _sweep_pairs(max_pa):
+        start = time.perf_counter()
+        report = rank_report(PrimeModulus(q), a)
+        rows.append(SweepRow(report, (time.perf_counter() - start) * 1000.0))
     engine = f"powker/{__version__} (python)"
     return SweepReport(max_pa=max_pa, engine=engine, rows=tuple(rows))

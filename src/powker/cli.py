@@ -10,11 +10,15 @@ humans and may change.
 
 Before any work, a command refuses (exit 2) a level wider than
 MAX_COLUMNS domain columns, `sweep` refuses `--max-pa` over
-MAX_SWEEP_PA, and `verify` refuses the identity suites for
+MAX_SWEEP_PA, `filtration` refuses p > MAX_FILTRATION_P, and `verify`
+refuses the shift suite for p > MAX_SHIFT_P and the identity suites for
 p > MAX_IDENTITY_P.  On a 2-vCPU machine, a level of about 2000 columns
-took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), and the
-qr and klemma identities took 9 s each at p = 47.  `--max-pa 500` took
-1.3 s with two workers and 1.6 s with one (best of 3).
+took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), the
+qr and klemma identities took 9 s each at p = 47, the shift suite 5.4 s
+at p = 23 and 28 s at p = 29 (the next prime, 31, is refused), and
+`filtration --a 2` 12 s at p = 251 and 24 s at p = 307 (about p^3.3, so
+p = 1327 would run for about an hour).  `--max-pa 500` took about 1 s,
+in one process.
 
 Importing this module loads no engine module: each command imports, when
 it runs, the engine it uses, `bounds` for `sweep` and `filtration` (with
@@ -40,6 +44,8 @@ SUITES = ("family", "qr", "klemma", "subst", "shift", "all")
 MAX_COLUMNS = 2000
 MAX_SWEEP_PA = 500
 MAX_IDENTITY_P = 47
+MAX_SHIFT_P = 29
+MAX_FILTRATION_P = 307
 
 
 def _check_level(p: int, a: int) -> None:
@@ -86,7 +92,7 @@ def _build_parser():
     sw.add_argument("--max-pa", type=int, required=True, dest="max_pa", help="budget for p*a")
     sw.add_argument(
         "--jobs", type=int, default=1,
-        help="at most this many worker processes; a sweep too small to repay a pool runs in one process",
+        help="accepted; sweeps run in one process",
     )
     sw.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sw.add_argument("--out", help="write output to this file instead of stdout")
@@ -193,6 +199,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         _check_level(p.p, 2)
     if args.suite in ("shift", "all"):
         _check_level(p.p, p.p)
+        if p.p > MAX_SHIFT_P:
+            raise ValueError(f"the shift suite takes p <= {MAX_SHIFT_P}, got {p.p}")
     if args.suite in ("qr", "subst", "klemma", "all") and p.p > MAX_IDENTITY_P:
         raise ValueError(f"the identity suites take p <= {MAX_IDENTITY_P}, got {p.p}")
     checks = _verify_checks(p, args.suite)
@@ -206,6 +214,8 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
     p = PrimeModulus(args.p)
     _check_level(p.p, args.a)
+    if p.p > MAX_FILTRATION_P:
+        raise ValueError(f"filtration takes p <= {MAX_FILTRATION_P}, got {p.p}")
     table = filtration_table(p, args.a)
     pre = pre_filtration_dims(p, args.a) if args.a >= 3 else None
     if args.format == "json":
@@ -233,7 +243,9 @@ def _cmd_sweep(args) -> tuple[str, int]:
         _check_level(q, args.max_pa // q)
     if args.max_pa > MAX_SWEEP_PA:
         raise ValueError(f"sweep to max_pa {args.max_pa} is over the limit of {MAX_SWEEP_PA}")
-    report = sweep(args.max_pa, parallelism=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    report = sweep(args.max_pa)
     if args.format == "json":
         return json.dumps(report.to_json(), indent=2) + "\n", 0
     if args.format == "csv":

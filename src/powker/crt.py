@@ -15,8 +15,13 @@ takes each J_w in K_w, and m / G vanishing to order c + 1 at infinity
 deg m <= x_bound.  So dim = D0 - rank(cut), D0 the sum of dim K_w; on
 `ma_space` levels c = 1, and the cut reads S_w[e_w - 1].  With b the
 least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x = y^p - y,
-so G_w(w + y) = (y^(p-1) - 1)^b G'(w + y) / y^(e_w - b): a Taylor shift
-of G' alone.
+so G_w(w + y) = (y^(p-1) - 1)^b T_w, T_w = G'(w + y) / y^(e_w - b).  The
+Taylor coefficients of G' at w are its Hasse derivatives D^k G'(w), which
+`_hasse_values` evaluates at all the weights at once, one packed sum per
+k (multipoint evaluation).  Of 1 / G_w, the factor 1 / (y^(p-1) - 1)^b is
+the same at every weight and goes into each local solution once per
+level; 1 / T_w comes by recurrence on the deg G' - e_w + b + 1 terms of
+T_w.
 
 The problem itself, `HomProblem`, lives here too, with `_ma_problem`,
 the level-a problem at the half-flag divisor, and `_check_ma_dim`, the
@@ -189,6 +194,24 @@ def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
     return kernel
 
 
+def _hasse_values(coeffs: list[int], weights: list[int], count: int, p: int) -> list[list[int]]:
+    """[D^k G(w) for w in weights] for k < count, where G = sum_j coeffs[j] x^j
+    and D^k G(w) = sum_j C(j, k) coeffs[j] w^(j - k): one packed sum per k
+    over the rows that pack w^i across the weights (multipoint evaluation)."""
+    n = len(coeffs)
+    width = slot_width(n * (p - 1) ** 2 + 1)  # a slot sums n products of two residues
+    powers, row = [], [1] * len(weights)
+    for _ in range(n):
+        powers.append(pack(row, width))
+        row = [v * w % p for v, w in zip(row, weights)]
+    values, pascal = [], [1] * n  # pascal[i] = C(k + i, k)
+    for k in range(min(count, n)):
+        scalars = [c * g % p for c, g in zip(pascal, coeffs[k:])]
+        values.append(unpack(sum(map(mul, scalars, powers)), len(weights), width, p))
+        pascal = [c % p for c in accumulate(pascal[: n - k - 1])]  # C(k + 1 + i, k + 1)
+    return values + [[0] * len(weights)] * (count - n)  # D^k G = 0 above deg G
+
+
 def _local_dim(problem: HomProblem) -> int:
     """D0: the sum of the local kernels' dimensions over the weights."""
     return sum(len(kernel) for _w, _e, kernels in _local_kernels(problem) for kernel in kernels)
@@ -207,47 +230,57 @@ def kernel_dim(problem: HomProblem) -> int:
         return _local_dim(problem)
     mult = Counter(problem.rep.weights)
     b = min(mult.values()) if len(mult) == p else 0  # the least multiplicity over F_p
-    # G' = G / (x^p - x)^b, highest power first
-    g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], p)
+    # G' = G / (x^p - x)^b, lowest power first
+    g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], p)[::-1]
     if b * p + len(g_prime) - 1 != d:
         raise ConsistencyError(f"count certificate failed: {b} * {p} + deg G' != {d}")
     top_e = max(mult.values())
-    sparse = [0] * top_e  # (y^q - 1)^b, the same at every weight
-    sparse[::q] = [(-1) ** (b + j) * binom_mod(b, j, p) % p for j in range(len(sparse[::q]))]
     width = slot_width(top_e * q * q + 1)
 
-    def times(f, g, e):  # f g mod y^e, by one product of packed ints
+    def times(f, g, e):  # f g mod y^e, len(g) >= e: plain sums below 8 terms, else packed ints
+        if e < 8:
+            return [sum(map(mul, f, g[n::-1])) % p for n in range(e)]
         product = pack(f[:e], width) * pack(g[:e], width) & ((1 << 8 * width * e) - 1)
         return unpack(product, e, width, p)
 
+    # (y^q - 1)^b and its inverse (-1)^b sum_j C(b - 1 + j, j) y^(jq), the same at every weight
+    sparse, sparse_inv = [0] * top_e, [0] * top_e
+    steps = range(len(sparse[::q]))
+    sparse[::q] = [(-1) ** (b + j) * binom_mod(b, j, p) % p for j in steps]
+    sparse_inv[::q] = [(-1) ** b * (binom_mod(b - 1 + j, j, p) if j else 1) % p for j in steps]
+    if times(sparse, sparse_inv, top_e) != [1] + [0] * (top_e - 1):
+        raise ConsistencyError(f"count certificate failed: the series inverse of (y^{q} - 1)^{b}")
+    # per weight, ascending: D^k G'(w) for k < 2 top_e - b, the coefficients of G'(w + y)
+    taylor = zip(*_hasse_values(g_prime, list(mult), 2 * top_e - b, p))
+    lifts: dict[int, list[list[int]]] = {}  # e -> J / (y^q - 1)^b mod y^e per local solution J
+    pascal = [[binom_mod(i, j, p) for j in range(i + 1)] for i in range(c)]
     cut = []  # per lift, the first c coefficients of its partial fraction at infinity
-    for w, e, kernels in _local_kernels(problem):
-        # T = G'(w + y) / y^(e - b) mod y^e, by repeated synthetic division by x - w
-        coeffs, taylor = g_prime, []
-        for _ in range(min(2 * e - b, len(g_prime))):
-            coeffs = list(accumulate(coeffs, lambda acc, g: (acc * w + g) % p))
-            taylor.append(coeffs.pop())
-        if any(taylor[: e - b]) or not any(taylor[e - b : e - b + 1]):
+    for t, (w, e, kernels) in zip(taylor, _local_kernels(problem)):
+        if any(t[: e - b]) or not t[e - b]:
             raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
-        series = times(sparse, taylor[e - b :], e)  # G_w(w + y) mod y^e
-        tail = series[1:]
-        inv = [pow(series[0], p - 2, p)]
+        # 1 / T_w mod y^e, T_w = t[e - b:], by the recurrence on its terms up to deg G'
+        tail = t[e - b + 1 : len(g_prime)]
+        inv = [pow(t[e - b], p - 2, p)]
         for _ in range(1, e):
             inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
-        if times(series, inv, e) != [1] + [0] * (e - 1):
+        if times(t[e - b :], inv, e) != [1] + [0] * (e - 1):
             raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
-        # S = J inv mod y^e has S(y) / y^e = sum_i lam_i x^-i, y = x - w, where
+        if e not in lifts:  # J_k = vec[idx] at k = rho + idx * q
+            lifts[e] = []
+            for rho, kernel in enumerate(kernels):
+                for vec in kernel:
+                    jet = [0] * e
+                    jet[rho : rho + q * len(vec) : q] = vec
+                    lifts[e].append(times(jet, sparse_inv, e))
+        # S = J / G_w(w + y) mod y^e has S(y) / y^e = sum_i lam_i x^-i, y = x - w, where
         # lam_i = sum_j C(i - 1, j - 1) w^(i - j) S[e - j] over j = 1 .. i
-        for rho, kernel in enumerate(kernels):
-            for vec in kernel:
-                tops = [  # S[e - 1], ..., S[e - c], with J_k = vec[idx] at k = rho + idx * q
-                    sum(v * inv[n - k] for k, v in zip(range(rho, n + 1, q), vec))
-                    for n in range(e - 1, e - 1 - c, -1)
-                ]
-                cut.append([
-                    sum(binom_mod(i, j, p) * pow(w, i - j, p) * tops[j] for j in range(i + 1)) % p
-                    for i in range(c)
-                ])
+        w_powers = [1]
+        for _ in range(1, c):
+            w_powers.append(w_powers[-1] * w % p)
+        at_infinity = [list(map(mul, row, w_powers[i::-1])) for i, row in enumerate(pascal)]
+        for lift in lifts[e]:  # S[e - j] for j = 1 .. min(c, e); the rest are 0
+            tops = [sum(map(mul, lift, inv[n::-1])) for n in range(e - 1, max(e - c, 0) - 1, -1)]
+            cut.append([sum(map(mul, row, tops)) % p for row in at_infinity])
     reduced = rref(list(zip(*cut)), len(cut), p)
     dim = len(nullspace_rows(reduced, len(cut), p))
     if dim + len(reduced) != len(cut):

