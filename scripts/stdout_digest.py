@@ -44,6 +44,7 @@ COMMANDS = (
     ("verify", "--p", "31", "--suite", "klemma"),
     ("sweep", "--max-pa", "350", "--jobs", "2", "--format", "json"),
     ("verify", "--p", "17", "--suite", "shift"),
+    ("filtration", "--p", "101", "--a", "2", "--format", "json"),
 )
 
 

@@ -12,16 +12,24 @@ at the weights, and m / G is the sum of S_w(y) / y^e_w, y = x - w,
 S_w = J_w / G_w(w + y) mod y^e_w, G_w = G / (x - w)^e_w.  The kernel
 takes each J_w in K_w, and m / G vanishing to order c + 1 at infinity
 (the cut: c conditions on the top c coefficients of the S_w) keeps
-deg m <= x_bound.  So dim = D0 - rank(cut), D0 the sum of dim K_w; on
-`ma_space` levels c = 1, and the cut reads S_w[e_w - 1].  With b the
-least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x = y^p - y,
-so G_w(w + y) = (y^(p-1) - 1)^b T_w, T_w = G'(w + y) / y^(e_w - b).  The
-Taylor coefficients of G' at w are its Hasse derivatives D^k G'(w), which
-`_hasse_values` evaluates at all the weights at once, one packed sum per
-k (multipoint evaluation).  Of 1 / G_w, the factor 1 / (y^(p-1) - 1)^b is
-the same at every weight and goes into each local solution once per
-level; 1 / T_w comes by recurrence on the deg G' - e_w + b + 1 terms of
-T_w.
+deg m <= x_bound.  S_w(y) / y^e_w is sum_i lam_i x^-(i+1), lam_i = sum_k
+C(i, k) w^(i-k) S_w[e_w - 1 - k]: a sum of the Taylor rows of
+`_taylor_rows`, which `homspace` maps the local annihilators back with.
+Each lift gives one cut row (lam_0, ..., lam_(c-1)), and dim = D0 -
+rank(cut), D0 the sum of dim K_w; on `ma_space` levels c = 1, and the
+cut reads S_w[e_w - 1].  The jet of m = 1 (1 at every weight) takes the
+same steps as the local solutions, and its rows sum over the weights to
+the first c coefficients of 1 / G = x^-d + ... at infinity: zero, since
+c < d (the first is the sum of the residues), or ConsistencyError.
+
+With b the least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x =
+y^p - y, so G_w(w + y) = (y^(p-1) - 1)^b T_w, T_w = G'(w + y) /
+y^(e_w - b).  The Taylor coefficients of G' at w are its Hasse
+derivatives D^k G'(w), which `_hasse_values` evaluates at all the
+weights at once, one packed sum per k (multipoint evaluation).  Of
+1 / G_w, the factor 1 / (y^(p-1) - 1)^b is the same at every weight and
+goes into each local solution once per level; 1 / T_w comes by
+recurrence on the deg G' - e_w + b + 1 terms of T_w.
 
 The problem itself, `HomProblem`, lives here too, with `_ma_problem`,
 the level-a problem at the half-flag divisor, and `_check_ma_dim`, the
@@ -212,6 +220,17 @@ def _hasse_values(coeffs: list[int], weights: list[int], count: int, p: int) -> 
     return values + [[0] * len(weights)] * (count - n)  # D^k G = 0 above deg G
 
 
+def _taylor_rows(w: int, count: int, length: int, p: int) -> list[list[int]]:
+    """[[C(j, k) w^(j - k) for j < length] for k < count], 1 <= count <= length:
+    row k holds the coefficient of c_j in the Taylor coordinate c^w_k, by
+    C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)."""
+    rows = [list(accumulate(range(length - 1), lambda acc, _: w * acc % p, initial=1))]
+    for k in range(1, count):
+        prev = rows[-1][k - 1 : length - 1]
+        rows.append([0] * k + list(accumulate(prev, lambda acc, v: (w * acc + v) % p)))
+    return rows
+
+
 def _local_dim(problem: HomProblem) -> int:
     """D0: the sum of the local kernels' dimensions over the weights."""
     return sum(len(kernel) for _w, _e, kernels in _local_kernels(problem) for kernel in kernels)
@@ -236,6 +255,8 @@ def kernel_dim(problem: HomProblem) -> int:
         raise ConsistencyError(f"count certificate failed: {b} * {p} + deg G' != {d}")
     top_e = max(mult.values())
     width = slot_width(top_e * q * q + 1)
+    # a slot of a cut row sums min(c, e) products; of the unit's sum, that over the weights
+    row_width = slot_width(len(mult) * min(c, top_e) * q * q + 1)
 
     def times(f, g, e):  # f g mod y^e, len(g) >= e: plain sums below 8 terms, else packed ints
         if e < 8:
@@ -252,9 +273,10 @@ def kernel_dim(problem: HomProblem) -> int:
         raise ConsistencyError(f"count certificate failed: the series inverse of (y^{q} - 1)^{b}")
     # per weight, ascending: D^k G'(w) for k < 2 top_e - b, the coefficients of G'(w + y)
     taylor = zip(*_hasse_values(g_prime, list(mult), 2 * top_e - b, p))
-    lifts: dict[int, list[list[int]]] = {}  # e -> J / (y^q - 1)^b mod y^e per local solution J
-    pascal = [[binom_mod(i, j, p) for j in range(i + 1)] for i in range(c)]
-    cut = []  # per lift, the first c coefficients of its partial fraction at infinity
+    lifts: dict[int, list[list[int]]] = {}  # e -> J / (y^q - 1)^b mod y^e, m = 1's jet first
+    # the first c coefficients at infinity of the partial fractions: packed
+    # and summed over the weights for m = 1, one cut row per lift
+    unit, cut = 0, []
     for t, (w, e, kernels) in zip(taylor, _local_kernels(problem)):
         if any(t[: e - b]) or not t[e - b]:
             raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
@@ -265,26 +287,25 @@ def kernel_dim(problem: HomProblem) -> int:
             inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
         if times(t[e - b :], inv, e) != [1] + [0] * (e - 1):
             raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
-        if e not in lifts:  # J_k = vec[idx] at k = rho + idx * q
-            lifts[e] = []
+        if e not in lifts:  # the unit jet, then J_k = vec[idx] at k = rho + idx * q
+            jets = [[1] + [0] * (e - 1)]
             for rho, kernel in enumerate(kernels):
                 for vec in kernel:
                     jet = [0] * e
                     jet[rho : rho + q * len(vec) : q] = vec
-                    lifts[e].append(times(jet, sparse_inv, e))
-        # S = J / G_w(w + y) mod y^e has S(y) / y^e = sum_i lam_i x^-i, y = x - w, where
-        # lam_i = sum_j C(i - 1, j - 1) w^(i - j) S[e - j] over j = 1 .. i
-        w_powers = [1]
-        for _ in range(1, c):
-            w_powers.append(w_powers[-1] * w % p)
-        at_infinity = [list(map(mul, row, w_powers[i::-1])) for i, row in enumerate(pascal)]
-        for lift in lifts[e]:  # S[e - j] for j = 1 .. min(c, e); the rest are 0
-            tops = [sum(map(mul, lift, inv[n::-1])) for n in range(e - 1, max(e - c, 0) - 1, -1)]
-            cut.append([sum(map(mul, row, tops)) % p for row in at_infinity])
-    reduced = rref(list(zip(*cut)), len(cut), p)
-    dim = len(nullspace_rows(reduced, len(cut), p))
-    if dim + len(reduced) != len(cut):
-        raise ConsistencyError(
-            f"count certificate failed: dim {dim} + rank {len(reduced)} != {len(cut)}"
+                    jets.append(jet)
+            lifts[e] = [times(jet, sparse_inv, e) for jet in jets]
+        # S = J / G_w(w + y) mod y^e has S(y) / y^e = sum_i lam_i x^-(i + 1), y = x - w, where
+        # lam_i = sum_k C(i, k) w^(i - k) S[e - 1 - k], k < min(c, e): a sum of Taylor rows
+        taylor_rows = [pack(row, row_width) for row in _taylor_rows(w, min(c, e), c, p)]
+        # S[e - 1 - k] = lift . revs[k] for k < min(c, e); the rest are 0
+        revs = [inv[n::-1] for n in range(e - 1, max(e - c, 0) - 1, -1)]
+        unit_row, *rows = (
+            sum(map(mul, [sum(map(mul, lift, rev)) % p for rev in revs], taylor_rows)) for lift in lifts[e]
         )
-    return dim
+        unit += unit_row
+        cut += [unpack(row, c, row_width, p) for row in rows]
+    # m = 1 lifts to 1 / G, which vanishes to order d > c at infinity
+    if any(unpack(unit, c, row_width, p)):
+        raise ConsistencyError("count certificate failed: the residues of 1 / G do not sum to 0")
+    return len(cut) - len(rref(cut, c, p))

@@ -51,9 +51,8 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   read off its RREF by `nullspace_rows` (one unit row per unknown when
   K_w is {0}; any basis serves, since the level's RREF below is
   unique), is mapped back to the domain coordinates through the Taylor
-  functionals c^w_k,
-  k < min(e_w, x_bound + 1), which the recurrence C(j, k) w^(j-k) =
-  w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k) builds at each weight: a
+  functionals c^w_k, k < min(e_w, x_bound + 1), the rows of
+  `crt._taylor_rows` (which `kernel_dim` reads its cut through too): a
   unit row is a functional itself.  Stacked, the rows number at most
   min(e_w, x_bound + 1) per weight, so at most d.
 
@@ -95,11 +94,10 @@ membership guarantees as they go.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, rref
-from .crt import HomProblem, _check_ma_dim, _local_kernels, _ma_problem, kernel_dim
+from .crt import HomProblem, _check_ma_dim, _local_kernels, _ma_problem, _taylor_rows, kernel_dim
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import r_poly
@@ -186,12 +184,7 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
     local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
     for w, e, kernels in _local_kernels(problem):
         d0 += sum(map(len, kernels))
-        # taylor[k][j] = C(j, k) w^(j - k), the coefficient of c_j in c^w_k,
-        # by C(j, k) w^(j-k) = w C(j-1, k) w^(j-1-k) + C(j-1, k-1) w^(j-k)
-        taylor = [list(accumulate(range(top), lambda acc, _: w * acc % p, initial=1))]
-        for k in range(1, min(e, top + 1)):
-            prev = taylor[-1][k - 1 : top]
-            taylor.append([0] * k + list(accumulate(prev, lambda acc, c: (w * acc + c) % p)))
+        taylor = _taylor_rows(w, min(e, top + 1), top + 1, p)  # c^w_k in the c_j
         if e not in local:
             local[e] = [
                 [(rho + idx * q, v) for idx, v in enumerate(row) if v]

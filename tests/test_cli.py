@@ -273,7 +273,7 @@ class TestSizeLimits:
             ["verify", "--p", "1327", "--suite", "family"],  # 1990
             ["verify", "--p", "29", "--suite", "shift"],  # the largest shift suite allowed
             ["verify", "--p", "47", "--suite", "klemma"],
-            ["filtration", "--p", "307", "--a", "2"],  # the largest filtration prime allowed
+            ["filtration", "--p", "449", "--a", "2"],  # the largest filtration prime allowed
         ],
     )
     def test_up_to_the_limit_starts(self, argv):
@@ -283,8 +283,8 @@ class TestSizeLimits:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["filtration", "--p", "311", "--a", "2"], "filtration takes p <= 307, got 311"),
-            (["filtration", "--p", "1327", "--a", "2"], "filtration takes p <= 307, got 1327"),  # 1990 columns
+            (["filtration", "--p", "457", "--a", "2"], "filtration takes p <= 449, got 457"),
+            (["filtration", "--p", "1327", "--a", "2"], "filtration takes p <= 449, got 1327"),  # 1990 columns
             (["verify", "--p", "31", "--suite", "shift"], "the shift suite takes p <= 29, got 31"),
             (["verify", "--p", "43", "--suite", "shift"], "the shift suite takes p <= 29, got 43"),  # 1827
             (["verify", "--p", "31", "--suite", "all"], "the shift suite takes p <= 29, got 31"),

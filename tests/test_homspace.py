@@ -14,7 +14,7 @@ from powker import crt, homspace
 from powker.bounds import _sweep_pairs
 from powker.cli import main
 from powker.errors import ConsistencyError
-from powker.ffpoly import BiPoly, PrimeModulus
+from powker.ffpoly import BiPoly, PrimeModulus, binom_mod
 from powker.homspace import (
     FpMatrix,
     HomProblem,
@@ -338,8 +338,18 @@ class TestIdentitySuite:
         assert not any(c["ok"] for c in trips)
         assert all("fell outside level" in c["detail"] for c in trips)
 
+    def test_shift_suite_divides_each_upper_basis_vector(self, monkeypatch):
+        # the quotient leg takes level a + 1's own basis, not the products m r,
+        # whose quotients are m by construction
+        seen = []
+        real = homspace._over_r
+        monkeypatch.setattr(homspace, "_over_r", lambda p, a, n: seen.append((a, n)) or real(p, a, n))
+        assert main(["verify", "--p", "5", "--suite", "shift"]) == 0
+        assert seen == [(a, n) for a in (3, 4, 5) for n in ma_space(P5, a).basis]
+
     def test_shift_suite_checks_each_image_once(self, monkeypatch, capsys):
-        # 30 round trips at p = 7, each checking m r and m r / r once
+        # p = 7, levels 2 .. 7: m r for the 30 basis vectors m of levels 2 .. 6
+        # and n / r for the 30 of levels 3 .. 7, each checked once
         calls = []
         real = homspace.contains
         monkeypatch.setattr(homspace, "contains", lambda space, m: calls.append(1) or real(space, m))
@@ -550,6 +560,38 @@ class TestCount:
         monkeypatch.setattr(homspace, "_level_rows", lambda problem: ([], real(problem)[1]))
         with pytest.raises(ConsistencyError, match="dim 7 against D0 = 5"):
             hom_space(homspace._ma_problem(P5, 2))
+
+    def test_regular_block_with_a_weight_above_p_minus_1(self):
+        # b = 1 and e_0 = 4 > q = 2, so the lifts' division by y^2 - 1 is
+        # more than a sign; counted without it, this level reads 0
+        rep = Representation(P3, (0, 1, 2) + (0, 0, 0, 1))
+        prob = HomProblem(P3, rep, 3, h_poly(P3, 2))
+        assert kernel_dim(prob) == hom_space(prob).dim == 1
+
+    @pytest.mark.parametrize("q", [1000003, 2**61 - 1])
+    def test_taylor_rows_at_large_primes(self, q):
+        rng = random.Random(q)
+        for w in (0, 1, q - 1, rng.randrange(q)):
+            for count, length in ((1, 1), (1, 6), (3, 3), (4, 9)):
+                rows = crt._taylor_rows(w, count, length, q)
+                expected = [
+                    [binom_mod(j, k, q) * pow(w, j - k, q) % q if j >= k else 0 for j in range(length)]
+                    for k in range(count)
+                ]
+                assert rows == expected, (w, count, length)
+
+    def test_wrong_taylor_coefficients_are_caught_by_the_residues(self, monkeypatch):
+        real = crt._hasse_values
+
+        def perturbed(coeffs, weights, count, p):
+            # D^k G'(w) + 1 from k = 2 on: the order checks (k <= 1 at
+            # (5, 2)) and every series inverse still pass
+            values = real(coeffs, weights, count, p)
+            return values[:2] + [[(v + 1) % p for v in row] for row in values[2:]]
+
+        monkeypatch.setattr(crt, "_hasse_values", perturbed)
+        with pytest.raises(ConsistencyError, match="the residues of 1 / G do not sum to 0"):
+            kernel_dim(homspace._ma_problem(P5, 2))
 
 
 @st.composite
