@@ -45,6 +45,9 @@ COMMANDS = (
     ("sweep", "--max-pa", "350", "--jobs", "2", "--format", "json"),
     ("verify", "--p", "17", "--suite", "shift"),
     ("filtration", "--p", "101", "--a", "2", "--format", "json"),
+    ("ma", "--p", "13", "--a", "40", "--basis", "--format", "json"),
+    ("ma", "--p", "23", "--a", "22", "--basis", "--format", "json"),
+    ("ma", "--p", "5", "--a", "120", "--basis", "--format", "json"),
 )
 
 

@@ -4,7 +4,11 @@
 module docstring: at each weight w, the local kernel K_w on the Taylor
 coordinates c^w_k, k < min(e_w, x_bound + 1), one residue class mod
 p - 1 at a time.  `hom_space` maps their annihilators back to the
-domain and eliminates.
+domain and eliminates.  No CLI command reaches a system's carried
+elimination or its certificate: on every level and flag step e_w <= a,
+so the one unknown freed, at n = a - 2, is the last of its residue
+class (the next identity, n + p - 1 >= a, is past e_w).  The library
+reaches both with other twists (`tests/test_homspace.py`).
 
 `kernel_dim` counts the dimension with no basis.  Put G(x) = f(1, x), of
 degree d, and c = d - 1 - x_bound.  Each m of degree < d is its jets J_w
@@ -17,10 +21,14 @@ C(i, k) w^(i-k) S_w[e_w - 1 - k]: a sum of the Taylor rows of
 `_taylor_rows`, which `homspace` maps the local annihilators back with.
 Each lift gives one cut row (lam_0, ..., lam_(c-1)), and dim = D0 -
 rank(cut), D0 the sum of dim K_w; on `ma_space` levels c = 1, and the
-cut reads S_w[e_w - 1].  The jet of m = 1 (1 at every weight) takes the
-same steps as the local solutions, and its rows sum over the weights to
-the first c coefficients of 1 / G = x^-d + ... at infinity: zero, since
-c < d (the first is the sum of the residues), or ConsistencyError.
+cut reads S_w[e_w - 1].  Two known m check the count: the jets of m = 1
+(1 at every weight) and of m = x^p - x (y^p - y at every weight, since
+w^p = w) take the same steps as the local solutions, and each one's rows
+sum over the weights to the first c coefficients of m / G at infinity.
+Those are zero when deg m <= x_bound = d - 1 - c, so for m = 1 always
+(the first is the sum of the residues) and for x^p - x when p <=
+x_bound; a nonzero sum raises ConsistencyError.  m = 1 alone misses
+faults that leave its lift alone: 1 / (y^2 - 1)^2 is even in y.
 
 With b the least multiplicity over F_p, G = (x^p - x)^b G' and x^p - x =
 y^p - y, so G_w(w + y) = (y^(p-1) - 1)^b T_w, T_w = G'(w + y) /
@@ -47,7 +55,7 @@ from ._pykernel import nullspace_rows, pack, rref, slot_width, unpack
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, _linear_product, f_of, filtration_rep
-from .steenrod import binomial_terms, h_poly, one_plus_tau, parameters
+from .steenrod import binomial_terms, h_poly, parameters
 
 __all__ = ["HomProblem", "kernel_dim"]
 
@@ -124,16 +132,17 @@ def _check_ma_dim(p: int, dim: int) -> None:
         )
 
 
-def _vanishing_identity(problem: HomProblem) -> int | None:
+def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | None:
     """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
 
-    (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
+    (1 + tau)^N has t-degree (p - 1) N, so h, here its `twist`, can equal it for one N only.
     """
-    power, rest = divmod(problem.h.t_degree(), problem.p.p - 1)
+    p = problem.p.p
+    power, rest = divmod(max(twist), p - 1)
     n = problem.delta - power
     if rest or not 0 <= n <= problem.x_bound():
         return None
-    return n if problem.h == one_plus_tau(problem.p, power) else None
+    return n if twist == {i * (p - 1): c for i, c in binomial_terms(power, p)} else None
 
 
 def _local_kernels(problem: HomProblem):
@@ -142,7 +151,7 @@ def _local_kernels(problem: HomProblem):
     only through e_w, so each one is solved once per level.
     """
     twist = {g: c for g, _j, c in problem.h.iterterms()}
-    vanishing = _vanishing_identity(problem)
+    vanishing = _vanishing_identity(problem, twist)
     systems: dict[int, list[list[list[int]]]] = {}
     for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
         if e not in systems:
@@ -205,16 +214,20 @@ def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
 def _hasse_values(coeffs: list[int], weights: list[int], count: int, p: int) -> list[list[int]]:
     """[D^k G(w) for w in weights] for k < count, where G = sum_j coeffs[j] x^j
     and D^k G(w) = sum_j C(j, k) coeffs[j] w^(j - k): one packed sum per k
-    over the rows that pack w^i across the weights (multipoint evaluation)."""
+    over the rows that pack w^i across the weights (multipoint evaluation).
+    Since w^p = w, x^i is folded onto x^(i - (p - 1)) for i >= p, so there
+    are at most p such rows."""
     n = len(coeffs)
     width = slot_width(n * (p - 1) ** 2 + 1)  # a slot sums n products of two residues
     powers, row = [], [1] * len(weights)
-    for _ in range(n):
+    for _ in range(min(n, p)):
         powers.append(pack(row, width))
         row = [v * w % p for v, w in zip(row, weights)]
     values, pascal = [], [1] * n  # pascal[i] = C(k + i, k)
     for k in range(min(count, n)):
         scalars = [c * g % p for c, g in zip(pascal, coeffs[k:])]
+        if len(scalars) > p:  # D^k G mod x^p - x, the first p terms
+            scalars[1:p] = [sum(scalars[i :: p - 1]) for i in range(1, p)]
         values.append(unpack(sum(map(mul, scalars, powers)), len(weights), width, p))
         pascal = [c % p for c in accumulate(pascal[: n - k - 1])]  # C(k + 1 + i, k + 1)
     return values + [[0] * len(weights)] * (count - n)  # D^k G = 0 above deg G
@@ -251,11 +264,9 @@ def kernel_dim(problem: HomProblem) -> int:
     b = min(mult.values()) if len(mult) == p else 0  # the least multiplicity over F_p
     # G' = G / (x^p - x)^b, lowest power first
     g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], p)[::-1]
-    if b * p + len(g_prime) - 1 != d:
-        raise ConsistencyError(f"count certificate failed: {b} * {p} + deg G' != {d}")
     top_e = max(mult.values())
     width = slot_width(top_e * q * q + 1)
-    # a slot of a cut row sums min(c, e) products; of the unit's sum, that over the weights
+    # a slot of a cut row sums min(c, e) products; of a residue sum, that over the weights
     row_width = slot_width(len(mult) * min(c, top_e) * q * q + 1)
 
     def times(f, g, e):  # f g mod y^e, len(g) >= e: plain sums below 8 terms, else packed ints
@@ -273,10 +284,11 @@ def kernel_dim(problem: HomProblem) -> int:
         raise ConsistencyError(f"count certificate failed: the series inverse of (y^{q} - 1)^{b}")
     # per weight, ascending: D^k G'(w) for k < 2 top_e - b, the coefficients of G'(w + y)
     taylor = zip(*_hasse_values(g_prime, list(mult), 2 * top_e - b, p))
-    lifts: dict[int, list[list[int]]] = {}  # e -> J / (y^q - 1)^b mod y^e, m = 1's jet first
+    # e -> J / (y^q - 1)^b mod y^e, the jets of m = 1 and m = x^p - x first
+    lifts: dict[int, list[list[int]]] = {}
     # the first c coefficients at infinity of the partial fractions: packed
-    # and summed over the weights for m = 1, one cut row per lift
-    unit, cut = 0, []
+    # and summed over the weights for m = 1 and x^p - x, one cut row per lift
+    unit, xpx, cut = 0, 0, []
     for t, (w, e, kernels) in zip(taylor, _local_kernels(problem)):
         if any(t[: e - b]) or not t[e - b]:
             raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
@@ -287,8 +299,8 @@ def kernel_dim(problem: HomProblem) -> int:
             inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
         if times(t[e - b :], inv, e) != [1] + [0] * (e - 1):
             raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
-        if e not in lifts:  # the unit jet, then J_k = vec[idx] at k = rho + idx * q
-            jets = [[1] + [0] * (e - 1)]
+        if e not in lifts:  # 1, x^p - x = y^p - y, then J_k = vec[idx] at k = rho + idx * q
+            jets = [[1] + [0] * (e - 1), [q if n == 1 else int(n == p) for n in range(e)]]
             for rho, kernel in enumerate(kernels):
                 for vec in kernel:
                     jet = [0] * e
@@ -300,12 +312,15 @@ def kernel_dim(problem: HomProblem) -> int:
         taylor_rows = [pack(row, row_width) for row in _taylor_rows(w, min(c, e), c, p)]
         # S[e - 1 - k] = lift . revs[k] for k < min(c, e); the rest are 0
         revs = [inv[n::-1] for n in range(e - 1, max(e - c, 0) - 1, -1)]
-        unit_row, *rows = (
+        unit_row, xpx_row, *rows = (
             sum(map(mul, [sum(map(mul, lift, rev)) % p for rev in revs], taylor_rows)) for lift in lifts[e]
         )
         unit += unit_row
+        xpx += xpx_row
         cut += [unpack(row, c, row_width, p) for row in rows]
-    # m = 1 lifts to 1 / G, which vanishes to order d > c at infinity
+    # m lifts to m / G, which vanishes to order d - deg m > c at infinity when deg m <= x_bound
     if any(unpack(unit, c, row_width, p)):
         raise ConsistencyError("count certificate failed: the residues of 1 / G do not sum to 0")
+    if p <= problem.x_bound() and any(unpack(xpx, c, row_width, p)):
+        raise ConsistencyError("count certificate failed: the residues of (x^p - x) / G are not 0")
     return len(cut) - len(rref(cut, c, p))

@@ -72,10 +72,14 @@ below f: f is its highest x-power.  Read in reverse, these vectors are
 the reduced echelon basis in the domain order, with no second
 elimination.  The basis is certified, dim + rank == ncols and every
 stacked row vanishes on every basis vector, and it is all the space
-keeps.  Membership (`contains` and the shift checks) reduces m's
-coordinates by that basis: at most dim passes over a basis vector's
-terms, where evaluating equations would take ncols - dim dot products of
-length ncols.
+keeps.  Those two checks see the basis through the stacked rows, so a
+third does not: one combination m of the basis, every coefficient
+nonzero, has its Taylor coordinates c^w_k = D^k m(w) evaluated at all
+the weights by `crt._hasse_values`, and at each weight they must
+satisfy the annihilator of K_w.  Membership (`contains` and the shift
+checks) reduces m's coordinates by that basis: at most dim passes over
+a basis vector's terms, where evaluating equations would take
+ncols - dim dot products of length ncols.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -96,8 +100,16 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from ._pykernel import annihilates, nullspace_rows, rref
-from .crt import HomProblem, _check_ma_dim, _local_kernels, _ma_problem, _taylor_rows, kernel_dim
+from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
+from .crt import (
+    HomProblem,
+    _check_ma_dim,
+    _hasse_values,
+    _local_kernels,
+    _ma_problem,
+    _taylor_rows,
+    kernel_dim,
+)
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import r_poly
@@ -167,10 +179,11 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
+def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, list]:
     """Rows over the domain basis, lowest x-power first (column j holds c_j),
-    whose common kernel is the kernel of the level map, and D0, the sum of
-    the local kernels' dimensions over the weights.
+    whose common kernel is the kernel of the level map; D0, the sum of the
+    local kernels' dimensions over the weights; and, per weight w, (w, e_w,
+    the annihilator of K_w as rows of (k, entry) terms on the c^w_k).
 
     The annihilator of each local kernel, mapped back through the Taylor
     shift: at most min(e_w, x_bound + 1) rows per weight, so at most
@@ -179,7 +192,7 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
     p = problem.p.p
     q = p - 1
     top = problem.x_bound()
-    rows = []
+    rows, annihilators = [], []
     d0 = 0
     local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
     for w, e, kernels in _local_kernels(problem):
@@ -192,6 +205,7 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
                 for size in [len(range(rho, min(e - 1, top) + 1, q))]
                 for row in nullspace_rows(rref(kernel, size, p), size, p)
             ]
+        annihilators.append((w, e, local[e]))
         for terms in local[e]:
             if len(terms) == 1:  # a unit row, c^w_k = 0
                 rows.append(taylor[terms[0][0]])
@@ -199,7 +213,7 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int]:
                 coeffs = [v for _k, v in terms]
                 functionals = [taylor[k] for k, _v in terms]
                 rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
-    return rows, d0
+    return rows, d0, annihilators
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
@@ -209,12 +223,14 @@ def hom_space(problem: HomProblem) -> HomSpace:
     is its `nullspace_rows` in reverse order (see the module docstring).
     The result is certified: the dimension and the rank add up to the
     number of columns, every row of the local systems, mapped back to the
-    domain, vanishes on every basis vector, and D0 - c <= dim <= D0.
+    domain, vanishes on every basis vector, D0 - c <= dim <= D0, and one
+    combination of the basis has its Taylor coordinates at each weight,
+    evaluated apart from the mapped rows, in the local kernel.
     """
     p = problem.p.p
     delta = problem.delta
     ncols = problem.x_bound() + 1
-    rows, d0 = _level_rows(problem)
+    rows, d0, annihilators = _level_rows(problem)
     reduced = rref(rows, ncols, p)
     # free columns descending: highest x-power first, the domain order
     vectors = nullspace_rows(reduced, ncols, p)[::-1]
@@ -227,6 +243,16 @@ def hom_space(problem: HomProblem) -> HomSpace:
     # the kernel is the cut's kernel in the local kernels' sum (see `kernel_dim`)
     if not d0 - (problem.rep.dim - ncols) <= len(vectors) <= d0:
         raise ConsistencyError(f"kernel certificate failed: dim {len(vectors)} against D0 = {d0}")
+    # the Taylor coordinates c^w_k = D^k m(w) of m = sum_i (i mod (p - 1) + 1) basis_i,
+    # every coefficient nonzero, by multipoint evaluation, not through `_taylor_rows`
+    width = slot_width(len(vectors) * (p - 1) ** 2 + 1)
+    packed = sum((i % (p - 1) + 1) * pack(vec, width) for i, vec in enumerate(vectors))
+    combination = unpack(packed, ncols, width, p)
+    count = max((e for _w, e, _rows in annihilators), default=0)
+    jets = zip(*_hasse_values(combination, [w for w, _e, _rows in annihilators], count, p))
+    for jet, (w, _e, local) in zip(jets, annihilators):
+        if any(sum(jet[k] * v for k, v in terms) % p for terms in local):
+            raise ConsistencyError(f"kernel certificate failed: the basis leaves K_w at weight {w}")
     basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)
     return HomSpace(problem, tuple(basis))
 

@@ -2,7 +2,9 @@
 
 Every binomial power the engine needs, (1 + X)^n mod p, comes from
 `binomial_terms`, which reads its nonzero terms off the base-p digits
-of n (Lucas); `one_plus_tau` is (1 + tau)^n for tau = t^(p-1).
+of n (Lucas); `one_plus_tau` is (1 + tau)^n for tau = t^(p-1) as a
+`BiPoly`, built on each call.  The local systems compare h with
+(1 + tau)^N term by term from `binomial_terms`, with no `BiPoly`.
 
 The total power operation P is the ring endomorphism determined by
 t -> t + t^p and x -> x + x^p, that is t -> t (1 + tau) and
@@ -24,7 +26,6 @@ so that delta - epsilon = a - 2.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .ffpoly import BiPoly, PrimeModulus, binom_mod
@@ -56,7 +57,6 @@ def binomial_terms(n: int, p: int) -> list[tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=8)  # a level's twist h_poly is looked up again by the count
 def one_plus_tau(p: PrimeModulus, n: int) -> BiPoly:
     """(1 + tau)^n, tau = t^(p-1), expanded mod p."""
     return BiPoly(p, {(i * (p.p - 1), 0): c for i, c in binomial_terms(n, p.p)})

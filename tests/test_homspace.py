@@ -1,8 +1,10 @@
 """Tests for kernel spaces: goldens, invariants, shifts, identity suite."""
 
 import builtins
+import inspect
 import json
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -477,6 +479,17 @@ class TestKernelCertificate:
         assert hom_space(homspace._ma_problem(P5, 2)).dim == 4
         assert len(seen) == 1
 
+    @pytest.mark.parametrize("q,a", [(5, 2), (7, 3), (11, 4), (13, 3), (7, 6)])
+    def test_reversed_taylor_functionals_are_caught(self, monkeypatch, q, a):
+        # each functional's columns in the wrong order: the level keeps its
+        # dimension, the mapped rows vanish on the wrong basis, and only the
+        # Taylor coordinates of the basis, evaluated without `_taylor_rows`,
+        # leave a local kernel
+        real = homspace._taylor_rows
+        monkeypatch.setattr(homspace, "_taylor_rows", lambda *args: [row[::-1] for row in real(*args)])
+        with pytest.raises(ConsistencyError, match="the basis leaves K_w at weight 0"):
+            hom_space(homspace._ma_problem(PrimeModulus(q), a))
+
 
 class TestCount:
     """`kernel_dim` counts by CRT the dimension that `hom_space` builds a basis for."""
@@ -557,7 +570,7 @@ class TestCount:
         # elimination's own checks, but the level kernel lies in a sum of
         # local kernels of dim 5
         real = homspace._level_rows
-        monkeypatch.setattr(homspace, "_level_rows", lambda problem: ([], real(problem)[1]))
+        monkeypatch.setattr(homspace, "_level_rows", lambda problem: ([], *real(problem)[1:]))
         with pytest.raises(ConsistencyError, match="dim 7 against D0 = 5"):
             hom_space(homspace._ma_problem(P5, 2))
 
@@ -580,6 +593,36 @@ class TestCount:
                 ]
                 assert rows == expected, (w, count, length)
 
+    @pytest.mark.parametrize(
+        "old,new,weights,delta,dim",
+        [
+            # q = 2, b = 2: the unit's lift 1 / (y^2 - 1)^2 mod y^6 = 1 + 2 y^2 is
+            # even in y, so without the division the residues of 1 / G still
+            # sum to 0 and the count reads 1
+            (
+                "lifts[e] = [times(jet, sparse_inv, e) for jet in jets]",
+                "lifts[e] = jets",
+                (0,) * 6 + (1, 1, 2, 2),
+                8,
+                0,
+            ),
+            # every Pascal entry past k = 0 plus 1: the count reads 2
+            (
+                "scalars = [c * g % p for c, g in zip(pascal, coeffs[k:])]",
+                "scalars = [(c + (k > 0)) * g % p for c, g in zip(pascal, coeffs[k:])]",
+                (0,) * 4 + (1, 1, 2, 2),
+                5,
+                1,
+            ),
+        ],
+        ids=["undivided-lifts", "pascal-plus-one"],
+    )
+    def test_faults_the_unit_misses_are_caught_by_x_to_the_p_minus_x(self, old, new, weights, delta, dim):
+        prob = HomProblem(P3, Representation(P3, weights), delta, h_poly(P3, 3))
+        assert kernel_dim(prob) == hom_space(prob).dim == dim
+        with pytest.raises(ConsistencyError, match=r"the residues of \(x\^p - x\) / G are not 0"):
+            _crt_mutant(old, new).kernel_dim(prob)
+
     def test_wrong_taylor_coefficients_are_caught_by_the_residues(self, monkeypatch):
         real = crt._hasse_values
 
@@ -592,6 +635,16 @@ class TestCount:
         monkeypatch.setattr(crt, "_hasse_values", perturbed)
         with pytest.raises(ConsistencyError, match="the residues of 1 / G do not sum to 0"):
             kernel_dim(homspace._ma_problem(P5, 2))
+
+
+def _crt_mutant(old: str, new: str) -> types.ModuleType:
+    """A copy of `powker.crt` with its one line `old` replaced by `new`."""
+    source = inspect.getsource(crt)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("powker._crt_mutant")
+    module.__package__ = "powker"
+    exec(compile(source.replace(old, new), crt.__file__, "exec"), module.__dict__)
+    return module
 
 
 @st.composite
