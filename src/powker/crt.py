@@ -121,7 +121,7 @@ def _ma_problem(p: PrimeModulus, a: int) -> HomProblem:
 def _check_ma_dim(p: int, dim: int) -> None:
     """Raise ConsistencyError unless dim, the dimension of a level-a
     problem `_ma_problem`, lies in the proven window (p+1)/2 <= dim <= p - 1,
-    that is ext11 = p - dim in [1, (p+1)/2]."""
+    that is ext11 = p - dim in [1, (p-1)/2]."""
     if dim < (p + 1) // 2:
         raise ConsistencyError(
             f"kernel dimension {dim} is below the proven lower bound {(p + 1) // 2}"

@@ -93,6 +93,10 @@ maps level a into level a + 1 (the divisors differ by exactly one
 regular block), and for a >= 3 every kernel element is divisible by r;
 `mul_r_shift` and `div_r_shift` apply these moves and verify the
 membership guarantees as they go.
+
+The identities read one table of the (x - k t)^(p-1), `_linear_powers`, and one
+product, `_k_product`: the K-lemma's K-coefficients of prod_k (K + (x - k t)^(p-1)),
+whose sum (K = 1) is Q(r).  The substitution check multiplies each power by x - k t.
 """
 
 from __future__ import annotations
@@ -362,45 +366,41 @@ def _over_r(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
     return quotient
 
 
-def verify_qr_identity(p: PrimeModulus) -> bool:
-    """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1).
+def _linear_powers(p: PrimeModulus) -> list[BiPoly]:
+    """(x - k t)^(p-1) for k = 0 .. p - 1: the one table of powers the identities read."""
+    return [BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (p.p - 1) for k in range(p.p)]
 
-    r = prod_k (x - k t), so Q(r) = P(r) / r = prod_k (1 + (x - k t)^(p-1)).
-    """
-    pp = p.p
-    q_of_r = BiPoly.one(p)
-    for k in range(pp):
-        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k})
-        q_of_r = q_of_r * (BiPoly.one(p) + linear ** (pp - 1))
-    return q_of_r == r_poly(p) ** (pp - 1) + one_plus_tau(p, pp - 1)
+
+def _k_product(p: PrimeModulus) -> list[BiPoly]:
+    """prod_k (K + (x - k t)^(p-1)) as its coefficients of K^0, ..., K^p."""
+    out, zero = [BiPoly.one(p)], BiPoly.zero(p)
+    for power in _linear_powers(p):
+        out = [a * power + b for a, b in zip(out + [zero], [zero] + out)]
+    return out
+
+
+def verify_qr_identity(p: PrimeModulus) -> bool:
+    """Check Q(r) == r^(p-1) + (1 + t^(p-1))^(p-1), where Q(r) = P(r) / r =
+    prod_k (1 + (x - k t)^(p-1)) is the sum of the K-lemma's coefficients."""
+    return sum(_k_product(p), BiPoly.zero(p)) == r_poly(p) ** (p.p - 1) + one_plus_tau(p, p.p - 1)
 
 
 def verify_substitution_identity(p: PrimeModulus) -> bool:
-    """Check (x - k*t)^p - t^(p-1)(x - k*t) == x^p - t^(p-1)x for all k."""
-    pp = p.p
-    r = r_poly(p)
-    tau_pow = BiPoly.monomial(p, pp - 1, 0)
-    for k in range(pp):
-        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k})
-        if linear ** pp - tau_pow * linear != r:
-            return False
-    return True
+    """Check (x - k*t) (x - k*t)^(p-1) - t^(p-1)(x - k*t) == x^p - t^(p-1)x for all k."""
+    r, tau_pow = r_poly(p), BiPoly.monomial(p, p.p - 1, 0)
+    linears = (BiPoly(p, {(0, 1): 1, (1, 0): -k}) for k in range(p.p))
+    return all(lin * power - tau_pow * lin == r for lin, power in zip(linears, _linear_powers(p)))
 
 
 def verify_k_lemma(p: PrimeModulus) -> bool:
     """Check prod_k (K + (x - k*t)^(p-1)) == r^(p-1) + K (K + t^(p-1))^(p-1).
 
-    Both sides are lists of coefficients of K^0, ..., K^p.  On the right,
-    K^n for n >= 1 has C(p-1, p-n) t^((p-1)(p-n)).
+    Both sides are lists of coefficients of K^0, ..., K^p, the left one `_k_product`'s.
+    On the right, K^n for n >= 1 has C(p-1, p-n) t^((p-1)(p-n)).
     """
     pp = p.p
-    zero = BiPoly.zero(p)
-    lhs = [BiPoly.one(p)]
-    for k in range(pp):
-        linear = BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (pp - 1)
-        lhs = [a * linear + b for a, b in zip(lhs + [zero], [zero] + lhs)]
     rhs = [r_poly(p) ** (pp - 1)] + [
         BiPoly.monomial(p, (pp - 1) * (pp - n), 0, binom_mod(pp - 1, pp - n, pp))
         for n in range(1, pp + 1)
     ]
-    return lhs == rhs
+    return _k_product(p) == rhs

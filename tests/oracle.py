@@ -3,10 +3,10 @@
 Everything here is deliberately written from scratch on plain dicts and
 lists, with no imports from the package under test: substitution-based
 power operation, repeated-multiplication powers, long division in x,
-Taylor coefficients by synthetic division, and textbook Gauss-Jordan
-elimination for the nullity, the row space and the kernel.  Slow and
-simple on purpose; the engine must agree with it, not the other way
-around.
+Taylor coefficients by synthetic division, the CRT lift of a jet at one
+weight, and textbook Gauss-Jordan elimination for the nullity, the row
+space and the kernel.  Slow and simple on purpose; the engine must agree
+with it, not the other way around.
 """
 
 from __future__ import annotations
@@ -98,6 +98,38 @@ def taylor_coefficients(coeffs, w, count, p):
         coeffs = list(accumulate(coeffs, lambda acc, g: (acc * w + g) % p))
         taylor.append(coeffs.pop())
     return taylor + [0] * (count - len(taylor))
+
+
+def times_linear(poly, v, p):
+    """poly * (x - v) for poly = sum_j poly[j] x^j (lowest power first)."""
+    return [(a - v * b) % p for a, b in zip([0] + poly, poly + [0])]
+
+
+def crt_lift(mult, w, jet, p):
+    """The m of degree < d = sum(mult.values()) whose first e_w Taylor coefficients
+    at w are `jet` and which vanishes to order e_v at every other weight v, by CRT:
+    m = G_w(x) S(x - w), G_w = prod over v != w of (x - v)^e_v and
+    S = jet / G_w(w + y) mod y^e_w.  Lowest power first, d coefficients."""
+    e = mult[w]
+    g_w = [1]
+    for v, e_v in mult.items():
+        if v != w:
+            for _ in range(e_v):
+                g_w = times_linear(g_w, v, p)
+    shifted = taylor_coefficients(g_w[::-1], w, e, p)  # G_w(w + y) mod y^e
+    inv = [pow(shifted[0], p - 2, p)]
+    for n in range(1, e):
+        inv.append(-inv[0] * sum(shifted[k] * inv[n - k] for k in range(1, n + 1)) % p)
+    s = [sum(jet[k] * inv[n - k] for k in range(n + 1)) % p for n in range(e)]
+    s_at = [0]  # S(x - w), by Horner
+    for coeff in reversed(s):
+        s_at = times_linear(s_at, w, p)
+        s_at[0] = (s_at[0] + coeff) % p
+    m = [0] * (len(g_w) + len(s_at))
+    for i, a in enumerate(g_w):
+        for j, b in enumerate(s_at):
+            m[i + j] = (m[i + j] + a * b) % p
+    return m[: sum(mult.values())]
 
 
 def echelon(rows, ncols, p):

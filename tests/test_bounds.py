@@ -59,9 +59,9 @@ class TestFiltrationTable:
 
     def test_half_step_outside_the_window_raises(self, monkeypatch):
         # a count that never drops keeps the plateau and the steps of 0 or 1,
-        # but puts ext11 = 0 at the level-a step
+        # but puts ext11 = 0 at the level-a step, which `_check_ma_dim` refuses
         monkeypatch.setattr(bounds, "kernel_dim", lambda problem: problem.p.p)
-        with pytest.raises(ConsistencyError, match="ext11 = 0 at k=3"):
+        with pytest.raises(ConsistencyError, match="ext11 = 0 violates the proven window"):
             filtration_table(P5, 2)
 
     def test_serialization(self):

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import kernel_basis, kernel_nullity, level_problem, m_nullity, taylor_coefficients
+from oracle import (
+    crt_lift,
+    echelon,
+    kernel_basis,
+    kernel_nullity,
+    level_problem,
+    m_nullity,
+    taylor_coefficients,
+)
 from powker import crt, homspace
 from powker.bounds import _sweep_pairs
 from powker.cli import main
@@ -339,6 +347,34 @@ class TestIdentitySuite:
         assert [c["name"] for c in trips] == [f"shift_roundtrip_a{a}" for a in (2, 3, 4)]
         assert not any(c["ok"] for c in trips)
         assert all("fell outside level" in c["detail"] for c in trips)
+
+    # a fault in the one table of powers (x - k t)^(p-1) must fail all three
+    # identities, which read it, and make `verify` exit 1
+    @pytest.mark.parametrize(
+        "power",
+        [
+            lambda p, k: BiPoly(p, {(0, 1): 1, (1, 0): -k * k}) ** (p.p - 1),
+            lambda p, k: BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (p.p - 2),
+        ],
+        ids=["squared-weights", "exponent-p-2"],
+    )
+    def test_wrong_powers_fail_every_identity(self, power, monkeypatch, capsys):
+        monkeypatch.setattr(homspace, "_linear_powers", lambda p: [power(p, k) for k in range(p.p)])
+        for check in (verify_qr_identity, verify_substitution_identity, verify_k_lemma):
+            assert not check(P5), check.__name__
+        assert main(["verify", "--p", "5", "--suite", "all"]) == 1
+        out = capsys.readouterr().out
+        for name in ("qr_identity", "substitution_identity", "k_polynomial_identity"):
+            assert f"{name}: FAIL" in out
+
+    def test_powers_of_shifted_forms_fail_the_substitution_only(self, monkeypatch):
+        # x - (k + 1) t runs over the same p forms, so both products are unchanged
+        def shifted(p):
+            return [BiPoly(p, {(0, 1): 1, (1, 0): -k - 1}) ** (p.p - 1) for k in range(p.p)]
+
+        monkeypatch.setattr(homspace, "_linear_powers", shifted)
+        assert not verify_substitution_identity(P5)
+        assert verify_qr_identity(P5) and verify_k_lemma(P5)
 
     def test_shift_suite_divides_each_upper_basis_vector(self, monkeypatch):
         # the quotient leg takes level a + 1's own basis, not the products m r,
@@ -745,6 +781,46 @@ class TestWeightLocalSystems:
             space = hom_space(prob)
             assert _basis_coordinates(space) == _oracle_basis(prob)
             assert kernel_dim(prob) == space.dim == kernel_nullity(q, _as_dict(prob.f), delta, _as_dict(prob.h))
+
+
+def _lift_dim(prob: HomProblem) -> int:
+    """The count by a second route: D0 less the rank of the coefficients of
+    x^(x_bound + 1) .. x^(d - 1) of the oracle's CRT lifts of the local solutions."""
+    q = prob.p.p
+    mult = Counter(prob.rep.weights)
+    top = prob.x_bound()
+    rows = []
+    for w, e, kernels in crt._local_kernels(prob):
+        for rho, kernel in enumerate(kernels):
+            for vec in kernel:
+                jet = [0] * e
+                for idx, v in enumerate(vec):
+                    jet[rho + idx * (q - 1)] = v
+                rows.append(crt_lift(mult, w, jet, q)[top + 1 :])
+    return len(rows) - len(echelon(rows, prob.rep.dim - 1 - top, q))
+
+
+class TestCutSecondRoute:
+    """`kernel_dim` reads the cut through Taylor rows of the lifts' series; the
+    oracle builds each lift m = G_w(x) S(x - w) and ranks its top coefficients."""
+
+    # e_1 = 3 = p: the solution at weight 1 of class 0 has two entries, c^1_0 and c^1_2
+    @example(prob=HomProblem(P3, Representation(P3, (0, 0, 1, 1, 1)), 2, _tau_power(P3, 2)))
+    @settings(max_examples=60, deadline=None)
+    @given(prob=_split_problems())
+    def test_lifts_count_the_level(self, prob):
+        assert _lift_dim(prob) == kernel_dim(prob)
+
+    def test_a_dropped_cut_row_passes_the_residues_but_not_the_lifts(self):
+        # the residue sums never read the cut, so this mutant raises nothing;
+        # at (5, 2) the last local solution's row is in the span of the others
+        mutant = _crt_mutant(
+            "return len(cut) - len(rref(cut, c, p))",
+            "return len(cut) - 1 - len(rref(cut[:-1], c, p))",
+        )
+        prob = homspace._ma_problem(P5, 2)
+        assert mutant.kernel_dim(prob) == 3
+        assert _lift_dim(prob) == kernel_dim(prob) == 4
 
 
 class TestOracleAgreement:

@@ -20,27 +20,6 @@ from powker.ffpoly import PrimeModulus
 from powker.homspace import FpMatrix
 
 
-def naive_rref(rows, ncols, p):
-    """Textbook reduced row echelon form, written for clarity not speed."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [v * inv % p for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    return [mat[i] for i in range(row)]
-
-
 # pivots in columns 1, 0 force out-of-order discovery; the broken
 # routine returned rows that were not reduced against each other
 REGRESSIONS = [
@@ -60,7 +39,7 @@ REGRESSIONS = [
 class TestPythonRref:
     @pytest.mark.parametrize("p,ncols,rows", REGRESSIONS)
     def test_regressions(self, p, ncols, rows):
-        assert py_rref(rows, ncols, p) == naive_rref(rows, ncols, p)
+        assert py_rref(rows, ncols, p) == echelon(rows, ncols, p)
 
     def test_zero_and_empty(self):
         assert py_rref([], 4, 3) == []
@@ -77,7 +56,7 @@ class TestPythonRref:
             nrows = rng.randrange(1, 7)
             ncols = rng.randrange(1, 7)
             rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-            assert py_rref(rows, ncols, p) == naive_rref(rows, ncols, p), (p, rows)
+            assert py_rref(rows, ncols, p) == echelon(rows, ncols, p), (p, rows)
 
     @given(
         p=st.sampled_from([3, 5]),
@@ -126,14 +105,14 @@ class TestTallRref:
             ncols = rng.randrange(1, 9)
             rows = _low_rank_tall(rng, p, ncols)
             assert len(rows) > ncols
-            assert py_rref(rows, ncols, p) == naive_rref(rows, ncols, p), (p, rows)
+            assert py_rref(rows, ncols, p) == echelon(rows, ncols, p), (p, rows)
 
     @pytest.mark.parametrize("q,a", [(5, 4), (7, 3), (11, 2)])
     def test_level_operators(self, q, a):
         # the full remainder operator of a level, computed by the oracle
         rows, ncols = operator_rows(q, *level_problem(q, a))
         assert len(rows) > ncols
-        assert py_rref(rows, ncols, q) == naive_rref(rows, ncols, q)
+        assert py_rref(rows, ncols, q) == echelon(rows, ncols, q)
 
     @given(seed=st.integers(0, 2**32 - 1), order=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
@@ -229,7 +208,7 @@ class TestAnnihilates:
             p = rng.choice([3, 5, 13, 2**32 + 15])
             ncols = rng.randrange(2, 6)
             vectors = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rng.randrange(1, ncols))]
-            dual = _pykernel.nullspace_rows(naive_rref(vectors, ncols, p), ncols, p)
+            dual = _pykernel.nullspace_rows(echelon(vectors, ncols, p), ncols, p)
             scale = rng.randrange(1, p)
             rows = [[v * scale + p * rng.randrange(-2, 3) for v in row] for row in dual]
             if rng.random() < 0.5:
@@ -270,7 +249,7 @@ class TestLargeModulus:
             nrows = rng.randrange(1, 6)
             ncols = rng.randrange(1, 6)
             rows = [[rng.randrange(self.P) for _ in range(ncols)] for _ in range(nrows)]
-            assert py_rref(rows, ncols, self.P) == naive_rref(rows, ncols, self.P), rows
+            assert py_rref(rows, ncols, self.P) == echelon(rows, ncols, self.P), rows
 
 
 class TestBackendSwitch:
