@@ -1,14 +1,15 @@
 """Local kernels at the weights, and the kernel dimension counted by CRT.
 
 `_local_kernels` solves the triangular local systems of the `homspace`
-module docstring: at each weight w, the local kernel K_w on the Taylor
-coordinates c^w_k, k < min(e_w, x_bound + 1), one residue class mod
-p - 1 at a time.  `hom_space` maps their annihilators back to the
-domain and eliminates.  No CLI command reaches a system's carried
-elimination or its certificate: on every level and flag step e_w <= a,
-so the one unknown freed, at n = a - 2, is the last of its residue
-class (the next identity, n + p - 1 >= a, is past e_w).  The library
-reaches both with other twists (`tests/test_homspace.py`).
+module docstring: the local kernel K_w at each weight w, as jets on the
+Taylor coordinates c^w_k, k < E = min(e_w, x_bound + 1), which only
+`_local_system` lays out by residue class mod p - 1.  `hom_space` maps
+their annihilators back to the domain and eliminates.  No CLI command
+reaches a system's carried elimination or its certificate: on every
+level and flag step e_w <= a, so the one unknown freed, at n = a - 2, is
+the last of its residue class (the next identity, n + p - 1 >= a, is
+past e_w).  The library reaches both with other twists
+(`tests/test_homspace.py`).
 
 `kernel_dim` counts the dimension with no basis.  Put G(x) = f(1, x), of
 degree d, and c = d - 1 - x_bound.  Each m of degree < d is its jets J_w
@@ -146,30 +147,32 @@ def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | Non
 
 
 def _local_kernels(problem: HomProblem):
-    """Yield (w, e_w, kernels) for each weight w, ascending, where kernels[rho]
-    is the local kernel of residue class rho.  A local system depends on w
-    only through e_w, so each one is solved once per level.
+    """Yield (w, e_w, jets) for each weight w, ascending: a basis of K_w, each
+    solution as its jet on c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).  A
+    local system depends on w only through e_w, so each one is solved once per level.
     """
     twist = {g: c for g, _j, c in problem.h.iterterms()}
     vanishing = _vanishing_identity(problem, twist)
-    systems: dict[int, list[list[list[int]]]] = {}
+    systems: dict[int, list[list[int]]] = {}
     for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
         if e not in systems:
             rhos = range(min(e, problem.p.p - 1))
-            systems[e] = [_local_system(problem, e, rho, twist, vanishing) for rho in rhos]
+            systems[e] = [jet for rho in rhos for jet in _local_system(problem, e, rho, twist, vanishing)]
         yield w, e, systems[e]
 
 
 def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
     """A basis of the solutions of the identities n = rho, rho + q, ... < e
-    (q = p - 1) on the unknowns c^w_k, k = rho + idx * q <= min(e - 1,
-    x_bound), tracked through the triangular identities (see the `homspace`
-    module docstring); each step is certified, dim + rank == its width.
+    (q = p - 1) on the unknowns c^w_k, k = rho + idx * q < E = min(e, x_bound
+    + 1), tracked through the triangular identities (see the `homspace` module
+    docstring); each step is certified, dim + rank == its width.  Each
+    solution is returned as its jet of length E.
     """
     p = problem.p.p
     q = p - 1
     delta = problem.delta
-    size = len(range(rho, min(e - 1, problem.x_bound()) + 1, q))
+    length = min(e, problem.x_bound() + 1)
+    size = len(range(rho, length, q))
     kernel: list[list[int]] = []  # a basis of the solutions on the unknowns so far
     for idx, n in enumerate(range(rho, e, q)):
         if not kernel:
@@ -208,7 +211,10 @@ def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
             raise ConsistencyError(
                 f"local certificate failed: dim {len(kernel)} + rank {len(reduced)} != {width}"
             )
-    return kernel
+    jets = [[0] * length for _ in kernel]
+    for jet, vec in zip(jets, kernel):
+        jet[rho::q] = vec
+    return jets
 
 
 def _hasse_values(coeffs: list[int], weights: list[int], count: int, p: int) -> list[list[int]]:
@@ -246,7 +252,7 @@ def _taylor_rows(w: int, count: int, length: int, p: int) -> list[list[int]]:
 
 def _local_dim(problem: HomProblem) -> int:
     """D0: the sum of the local kernels' dimensions over the weights."""
-    return sum(len(kernel) for _w, _e, kernels in _local_kernels(problem) for kernel in kernels)
+    return sum(len(jets) for _w, _e, jets in _local_kernels(problem))
 
 
 def kernel_dim(problem: HomProblem) -> int:
@@ -269,7 +275,7 @@ def kernel_dim(problem: HomProblem) -> int:
     # a slot of a cut row sums min(c, e) products; of a residue sum, that over the weights
     row_width = slot_width(len(mult) * min(c, top_e) * q * q + 1)
 
-    def times(f, g, e):  # f g mod y^e, len(g) >= e: plain sums below 8 terms, else packed ints
+    def times(f, g, e):  # f g mod y^e, len(g) >= e, f cut or zero-padded to e: plain below 8, else packed
         if e < 8:
             return [sum(map(mul, f, g[n::-1])) % p for n in range(e)]
         product = pack(f[:e], width) * pack(g[:e], width) & ((1 << 8 * width * e) - 1)
@@ -289,7 +295,7 @@ def kernel_dim(problem: HomProblem) -> int:
     # the first c coefficients at infinity of the partial fractions: packed
     # and summed over the weights for m = 1 and x^p - x, one cut row per lift
     unit, xpx, cut = 0, 0, []
-    for t, (w, e, kernels) in zip(taylor, _local_kernels(problem)):
+    for t, (w, e, local) in zip(taylor, _local_kernels(problem)):
         if any(t[: e - b]) or not t[e - b]:
             raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
         # 1 / T_w mod y^e, T_w = t[e - b:], by the recurrence on its terms up to deg G'
@@ -299,13 +305,8 @@ def kernel_dim(problem: HomProblem) -> int:
             inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
         if times(t[e - b :], inv, e) != [1] + [0] * (e - 1):
             raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
-        if e not in lifts:  # 1, x^p - x = y^p - y, then J_k = vec[idx] at k = rho + idx * q
-            jets = [[1] + [0] * (e - 1), [q if n == 1 else int(n == p) for n in range(e)]]
-            for rho, kernel in enumerate(kernels):
-                for vec in kernel:
-                    jet = [0] * e
-                    jet[rho : rho + q * len(vec) : q] = vec
-                    jets.append(jet)
+        if e not in lifts:  # 1, x^p - x = y^p - y, then the local solutions (`times` pads them)
+            jets = [[1] + [0] * (e - 1), [q if n == 1 else int(n == p) for n in range(e)], *local]
             lifts[e] = [times(jet, sparse_inv, e) for jet in jets]
         # S = J / G_w(w + y) mod y^e has S(y) / y^e = sum_i lam_i x^-(i + 1), y = x - w, where
         # lam_i = sum_k C(i, k) w^(i - k) S[e - 1 - k], k < min(c, e): a sum of Taylor rows

@@ -169,6 +169,14 @@ class BiPoly:
         self.modulus = modulus
         self._coeffs = clean
 
+    @staticmethod
+    def _raw(modulus: PrimeModulus, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
+        """A BiPoly on coeffs as given: the arithmetic's results, already in [1, p)."""
+        res = object.__new__(BiPoly)
+        res.modulus = modulus
+        res._coeffs = coeffs
+        return res
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -256,17 +264,11 @@ class BiPoly:
                 out[key] = v
             elif key in out:
                 del out[key]
-        res = BiPoly.__new__(BiPoly)
-        res.modulus = self.modulus
-        res._coeffs = out
-        return res
+        return BiPoly._raw(self.modulus, out)
 
     def __neg__(self):
         p = self.modulus.p
-        res = BiPoly.__new__(BiPoly)
-        res.modulus = self.modulus
-        res._coeffs = {key: p - c for key, c in self._coeffs.items()}
-        return res
+        return BiPoly._raw(self.modulus, {key: p - c for key, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, BiPoly):
@@ -289,10 +291,7 @@ class BiPoly:
                     out[key] = v
                 elif key in out:
                     del out[key]
-        res = BiPoly.__new__(BiPoly)
-        res.modulus = self.modulus
-        res._coeffs = out
-        return res
+        return BiPoly._raw(self.modulus, out)
 
     __rmul__ = __mul__
 
@@ -349,12 +348,8 @@ class BiPoly:
                             target[ii] = v
                         elif ii in target:
                             del target[ii]
-        rem: dict[tuple[int, int], int] = {}
-        for j, col in cols.items():
-            for i, c in col.items():
-                if c:
-                    rem[(i, j)] = c
-        return BiPoly(self.modulus, quo), BiPoly(self.modulus, rem)
+        rem = {(i, j): c for j, col in cols.items() for i, c in col.items()}
+        return BiPoly._raw(self.modulus, quo), BiPoly._raw(self.modulus, rem)
 
     # -- comparison and text -----------------------------------------
 

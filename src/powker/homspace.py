@@ -45,16 +45,16 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   one n per level, found by one comparison with h.  Once the kernel is
   not {0}, each identity cuts it by one elimination with dim + 1
   columns.  The result is the local kernel K_w (`powker.crt`, which
-  also counts the level's dimension from the K_w alone by CRT).  A
-  system depends on w only through e_w, so weights of equal
-  multiplicity share one.  For `hom_space`, the annihilator of K_w,
-  read off its RREF by `nullspace_rows` (one unit row per unknown when
-  K_w is {0}; any basis serves, since the level's RREF below is
-  unique), is mapped back to the domain coordinates through the Taylor
-  functionals c^w_k, k < min(e_w, x_bound + 1), the rows of
-  `crt._taylor_rows` (which `kernel_dim` reads its cut through too): a
-  unit row is a functional itself.  Stacked, the rows number at most
-  min(e_w, x_bound + 1) per weight, so at most d.
+  also counts the level's dimension from the K_w alone by CRT), as
+  jets on c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).  A system
+  depends on w only through e_w, so weights of equal multiplicity share
+  one.  For `hom_space`, the annihilator of K_w, read off one RREF of
+  its jets by `nullspace_rows` (one unit row per unknown when K_w is
+  {0}; any basis serves, since the level's RREF below is unique), is
+  mapped back to the domain coordinates through the Taylor functionals
+  c^w_k, k < E, the rows of `crt._taylor_rows` (which `kernel_dim`
+  reads its cut through too): a unit row is a functional itself.
+  Stacked, the rows number at most E per weight, so at most d.
 
 For a < p every identity has only its s = 0 term, and delta - epsilon =
 a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
@@ -97,6 +97,7 @@ membership guarantees as they go.
 The identities read one table of the (x - k t)^(p-1), `_linear_powers`, and one
 product, `_k_product`: the K-lemma's K-coefficients of prod_k (K + (x - k t)^(p-1)),
 whose sum (K = 1) is Q(r).  The substitution check multiplies each power by x - k t.
+Both are cached for the last prime, so `verify --suite all` builds each once.
 """
 
 from __future__ import annotations
@@ -194,21 +195,16 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, list]:
     deg_x f rows in all.
     """
     p = problem.p.p
-    q = p - 1
     top = problem.x_bound()
     rows, annihilators = [], []
     d0 = 0
     local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
-    for w, e, kernels in _local_kernels(problem):
-        d0 += sum(map(len, kernels))
-        taylor = _taylor_rows(w, min(e, top + 1), top + 1, p)  # c^w_k in the c_j
+    for w, e, jets in _local_kernels(problem):
+        d0 += len(jets)
+        taylor = _taylor_rows(w, min(e, top + 1), top + 1, p)  # c^w_k in the c_j, k < len(jet)
         if e not in local:
-            local[e] = [
-                [(rho + idx * q, v) for idx, v in enumerate(row) if v]
-                for rho, kernel in enumerate(kernels)
-                for size in [len(range(rho, min(e - 1, top) + 1, q))]
-                for row in nullspace_rows(rref(kernel, size, p), size, p)
-            ]
+            annihilator = nullspace_rows(rref(jets, len(taylor), p), len(taylor), p)
+            local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
         annihilators.append((w, e, local[e]))
         for terms in local[e]:
             if len(terms) == 1:  # a unit row, c^w_k = 0
@@ -261,6 +257,7 @@ def hom_space(problem: HomProblem) -> HomSpace:
     return HomSpace(problem, tuple(basis))
 
 
+@lru_cache(maxsize=8)
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     """The level-a kernel space at the half-flag divisor.
 
@@ -269,15 +266,10 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     space down to the linear span of the family elements; the half-flag
     space is the one whose dimension (p - 1) the rank reports use.  A
     dimension outside the proven window (p+1)/2 .. p - 1 raises
-    ConsistencyError, as in `bounds.rank_report`.
+    ConsistencyError, as in `bounds.rank_report`.  The last eight levels
+    are cached: `verify` walks consecutive levels, and eight entries also
+    cover every pair of levels up to p = 7.
     """
-    return _level(p, a)
-
-
-@lru_cache(maxsize=8)
-def _level(p: PrimeModulus, a: int) -> HomSpace:
-    # `verify` walks consecutive levels; eight entries also cover every
-    # pair of levels up to p = 7.
     space = hom_space(_ma_problem(p, a))
     _check_ma_dim(p.p, space.dim)
     return space
@@ -366,17 +358,19 @@ def _over_r(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
     return quotient
 
 
-def _linear_powers(p: PrimeModulus) -> list[BiPoly]:
+@lru_cache(maxsize=1)
+def _linear_powers(p: PrimeModulus) -> tuple[BiPoly, ...]:
     """(x - k t)^(p-1) for k = 0 .. p - 1: the one table of powers the identities read."""
-    return [BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (p.p - 1) for k in range(p.p)]
+    return tuple(BiPoly(p, {(0, 1): 1, (1, 0): -k}) ** (p.p - 1) for k in range(p.p))
 
 
-def _k_product(p: PrimeModulus) -> list[BiPoly]:
+@lru_cache(maxsize=1)
+def _k_product(p: PrimeModulus) -> tuple[BiPoly, ...]:
     """prod_k (K + (x - k t)^(p-1)) as its coefficients of K^0, ..., K^p."""
     out, zero = [BiPoly.one(p)], BiPoly.zero(p)
     for power in _linear_powers(p):
         out = [a * power + b for a, b in zip(out + [zero], [zero] + out)]
-    return out
+    return tuple(out)
 
 
 def verify_qr_identity(p: PrimeModulus) -> bool:
@@ -403,4 +397,4 @@ def verify_k_lemma(p: PrimeModulus) -> bool:
         BiPoly.monomial(p, (pp - 1) * (pp - n), 0, binom_mod(pp - 1, pp - n, pp))
         for n in range(1, pp + 1)
     ]
-    return _k_product(p) == rhs
+    return list(_k_product(p)) == rhs

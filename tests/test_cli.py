@@ -93,7 +93,7 @@ class TestVerify:
             builds.append(problem.rep.dim)
             return real_level_rows(problem)
 
-        homspace._level.cache_clear()
+        homspace.ma_space.cache_clear()
         monkeypatch.setattr(crt, "filtration_rep", counting_filtration_rep)
         monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
@@ -108,14 +108,25 @@ class TestVerify:
         # own certificates, but its dimension falls below (p + 1) / 2
         real = crt._local_system
         monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
-        homspace._level.cache_clear()
+        homspace.ma_space.cache_clear()
         try:
             for argv in (["ma", "--p", "5", "--a", "2"], ["verify", "--p", "5", "--suite", "shift"]):
                 code, out, err = run_cli(capsys, *argv)
                 assert (code, out) == (1, "")
                 assert "internal consistency error: kernel dimension 0 is below the proven lower bound 3" in err
         finally:
-            homspace._level.cache_clear()
+            homspace.ma_space.cache_clear()
+
+    def test_identity_tables_built_once(self):
+        # the qr check and the K-lemma read one product, and it and the
+        # substitution check one table of powers: each is built once
+        tables = (homspace._linear_powers, homspace._k_product)
+        for table in tables:
+            table.cache_clear()
+        cli._verify_checks(PrimeModulus(5), "all")
+        for table in tables:
+            info = table.cache_info()
+            assert (info.misses, info.hits) == (1, 1), table.__name__
 
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "qr", "--format", "json")
@@ -237,7 +248,7 @@ class TestSizeLimits:
         def start(*args):
             raise Started
 
-        homspace._level.cache_clear()
+        homspace.ma_space.cache_clear()
         monkeypatch.setattr(homspace, "hom_space", start)
         for module in (crt, homspace, bounds):
             monkeypatch.setattr(module, "kernel_dim", start)

@@ -281,7 +281,7 @@ class TestShifts:
             div_r_shift(P3, 3, BiPoly.monomial(P3, 3, 3))
 
     def test_failed_image_check_raises_consistency_error(self, monkeypatch):
-        real = homspace._level
+        real = homspace.ma_space
 
         def patched(good: int):
             # every level but `good` gets an empty basis: only 0 is a member there
@@ -295,10 +295,10 @@ class TestShifts:
 
         m = ma_space(P3, 2).basis[0]
         lifted = mul_r_shift(P3, 2, 3, m)
-        monkeypatch.setattr(homspace, "_level", patched(2))
+        monkeypatch.setattr(homspace, "ma_space", patched(2))
         with pytest.raises(ConsistencyError):
             mul_r_shift(P3, 2, 3, m)
-        monkeypatch.setattr(homspace, "_level", patched(3))
+        monkeypatch.setattr(homspace, "ma_space", patched(3))
         with pytest.raises(ConsistencyError):
             div_r_shift(P3, 3, lifted)
 
@@ -313,6 +313,17 @@ class TestShifts:
 
 
 class TestIdentitySuite:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        # the tables are cached per prime: a patched table of powers must
+        # neither meet a product cached before it nor outlive its test
+        tables = (homspace._linear_powers, homspace._k_product)
+        for table in tables:
+            table.cache_clear()
+        yield
+        for table in tables:
+            table.cache_clear()
+
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_qr_identity(self, q):
         assert verify_qr_identity(PrimeModulus(q))
@@ -760,6 +771,15 @@ class TestWeightLocalSystems:
         assert kernel_dim(prob) == space.dim == kernel_nullity(prob.p.p, f, prob.delta, h)
         assert _basis_coordinates(space) == kernel_basis(prob.p.p, f, prob.delta, h)
 
+    @settings(max_examples=60, deadline=None)
+    @given(prob=_split_problems())
+    def test_each_jet_lies_in_one_residue_class(self, prob):
+        q = prob.p.p - 1
+        for _w, e, jets in crt._local_kernels(prob):
+            for jet in jets:
+                assert len(jet) == min(e, prob.x_bound() + 1)
+                assert len({k % q for k, v in enumerate(jet) if v}) == 1
+
     # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
     # c^w_n is free after it; the identities n + s(p-1) that follow cut it
     # exactly when some C(n, s) is nonzero mod p
@@ -789,14 +809,11 @@ def _lift_dim(prob: HomProblem) -> int:
     q = prob.p.p
     mult = Counter(prob.rep.weights)
     top = prob.x_bound()
-    rows = []
-    for w, e, kernels in crt._local_kernels(prob):
-        for rho, kernel in enumerate(kernels):
-            for vec in kernel:
-                jet = [0] * e
-                for idx, v in enumerate(vec):
-                    jet[rho + idx * (q - 1)] = v
-                rows.append(crt_lift(mult, w, jet, q)[top + 1 :])
+    rows = [
+        crt_lift(mult, w, jet + [0] * (e - len(jet)), q)[top + 1 :]
+        for w, e, jets in crt._local_kernels(prob)
+        for jet in jets
+    ]
     return len(rows) - len(echelon(rows, prob.rep.dim - 1 - top, q))
 
 
