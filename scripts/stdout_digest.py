@@ -24,6 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 COMMANDS = (
+    ("--help",),
+    ("sweep", "--help"),
     ("sweep", "--max-pa", "50", "--format", "json"),
     ("sweep", "--max-pa", "50", "--format", "text"),
     ("sweep", "--max-pa", "50", "--format", "csv"),

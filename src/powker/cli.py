@@ -20,22 +20,15 @@ at p = 23 and 28 s at p = 29 (the next prime, 31, is refused), and
 p = 1327 would run for about 4 minutes).  `--max-pa 500` took about 1 s,
 in one process.
 
-Importing this module loads no engine module: each command imports, when
-it runs, the engine it uses, `bounds` for `sweep` and `filtration` (with
-`crt`, never `homspace`) and `homspace` for `ma` and `verify` (never
-`bounds`), so `--help` and usage errors compile none.  The order of
-the imports sets a pass's peak RSS, since the source is compiled on every
-run where bytecode is not cached: `main` imports `ffpoly` (the largest
-module, about 1 MB of transient memory to compile) while nothing else of
-the engine is live, then the command's engine, and only then does
-`_build_parser` import `argparse`.  Importing `argparse` first raised
-the peak by 0.1-0.25 MB, and compiling `ffpoly` after `bounds` raised
-`sweep`'s by 0.11 MB.
+Importing this module loads no engine module and no `json`: `argparse`
+checks the arguments first, then the command imports the engine it uses,
+`bounds` for `sweep` and `filtration` (with `crt`, never `homspace`) and
+`homspace` for `ma` and `verify` (never `bounds`), so `--help` and usage
+errors compile none.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 
 from .errors import ConsistencyError
@@ -59,6 +52,12 @@ def _check_level(p: int, a: int) -> None:
         )
 
 
+def _json_text(data) -> str:
+    import json
+
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _build_parser():
     import argparse
 
@@ -75,18 +74,21 @@ def _build_parser():
     ma.add_argument("--basis", action="store_true", help="include the echelon basis")
     ma.add_argument("--format", choices=("text", "json"), default="text")
     ma.add_argument("--out", help="write output to this file instead of stdout")
+    ma.set_defaults(run=_cmd_ma)
 
     ver = sub.add_parser("verify", help="run identity and membership check suites")
     ver.add_argument("--p", type=int, required=True, help="odd prime")
     ver.add_argument("--suite", choices=SUITES, default="all")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.add_argument("--out", help="write output to this file instead of stdout")
+    ver.set_defaults(run=_cmd_verify)
 
     filt = sub.add_parser("filtration", help="Hom-dimension table along the flag filtration")
     filt.add_argument("--p", type=int, required=True, help="odd prime")
     filt.add_argument("--a", type=int, required=True, help="level, at least 2")
     filt.add_argument("--format", choices=("text", "json", "csv"), default="text")
     filt.add_argument("--out", help="write output to this file instead of stdout")
+    filt.set_defaults(run=_cmd_filtration)
 
     sw = sub.add_parser("sweep", help="rank reports for every (p, a) with p*a <= budget")
     sw.add_argument("--max-pa", type=int, required=True, dest="max_pa", help="budget for p*a")
@@ -96,6 +98,7 @@ def _build_parser():
     )
     sw.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sw.add_argument("--out", help="write output to this file instead of stdout")
+    sw.set_defaults(run=_cmd_sweep)
     return parser
 
 
@@ -158,7 +161,7 @@ def _verify_checks(p, suite: str) -> list[dict]:
 def _render_verify(p, suite: str, checks: list[dict], fmt: str) -> str:
     ok = all(c["ok"] for c in checks)
     if fmt == "json":
-        return json.dumps({"p": p.p, "suite": suite, "checks": checks, "ok": ok}, indent=2) + "\n"
+        return _json_text({"p": p.p, "suite": suite, "checks": checks, "ok": ok})
     lines = []
     for c in checks:
         status = "pass" if c["ok"] else "FAIL"
@@ -177,8 +180,7 @@ def _cmd_ma(args) -> tuple[str, int]:
     _check_level(p.p, args.a)
     space = ma_space(p, args.a)
     if args.format == "json":
-        data = space.to_json(a=args.a, include_basis=args.basis)
-        return json.dumps(data, indent=2) + "\n", 0
+        return _json_text(space.to_json(a=args.a, include_basis=args.basis)), 0
     lines = [
         f"p = {p.p}",
         f"a = {args.a}",
@@ -223,7 +225,7 @@ def _cmd_filtration(args) -> tuple[str, int]:
         data = table.to_json()
         if pre is not None:
             data["pre_dims"] = list(pre)
-        return json.dumps(data, indent=2) + "\n", 0
+        return _json_text(data), 0
     if args.format == "csv":
         return table.to_csv(), 0
     lines = [f"p = {p.p}, a = {args.a}", " k  dim_v  hom_dim  ext11"]
@@ -248,7 +250,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     report = sweep(args.max_pa)
     if args.format == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n", 0
+        return _json_text(report.to_json()), 0
     if args.format == "csv":
         return report.to_csv(), 0
     lines = [f"max_pa = {report.max_pa}, engine = {report.engine}",
@@ -263,26 +265,10 @@ def _cmd_sweep(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-# each command, and the engine module it runs, imported before the argument parser
-_COMMANDS = {
-    "ma": (_cmd_ma, "homspace"),
-    "verify": (_cmd_verify, "homspace"),
-    "filtration": (_cmd_filtration, "bounds"),
-    "sweep": (_cmd_sweep, "bounds"),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        # ffpoly, which every engine imports, first: its compile is the
-        # largest transient of a pass, so it runs with no other engine live
-        __import__(f"{__package__}.ffpoly")
-        __import__(f"{__package__}.{_COMMANDS[argv[0]][1]}")
     args = _build_parser().parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command][0](args)
+        text, code = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -167,9 +167,13 @@ COUNT = {"powker.ffpoly", "powker.steenrod", "powker.reps", "powker.crt", "powke
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The engine and pool modules loaded after running `code` in a new interpreter."""
-    watched = ENGINE | {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect", "powker._kernel"}
-    script = f"import sys\n{code}\nimport json\nprint(json.dumps(sorted({watched!r} & set(sys.modules))))"
+    """The engine, pool and `json` modules loaded after running `code` in a
+    new interpreter; `sys.modules` is read before the script imports `json`."""
+    watched = ENGINE | {"concurrent.futures", "multiprocessing", "logging", "dataclasses", "inspect", "powker._kernel", "json"}
+    script = (
+        f"import sys\n{code}\nloaded = sorted({watched!r} & set(sys.modules))\n"
+        "import json\nprint(json.dumps(loaded))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(powker.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -189,17 +193,23 @@ def _main(argv: list[str]) -> str:
         (_main(["--help"]), set()),
         (_main([]), set()),
         (_main(["nope"]), set()),
+        (_main(["sweep", "--help"]), set()),
+        (_main(["ma", "--p", "5"]), set()),
+        (_main(["verify", "--p", "x"]), set()),
         (_main(["sweep", "--max-pa", "30", "--format", "csv"]), COUNT | {"powker.bounds"}),
         (_main(["filtration", "--p", "5", "--a", "3"]), COUNT | {"powker.bounds"}),
         (_main(["verify", "--p", "3", "--suite", "all"]), COUNT | {"powker.homspace"}),
         (_main(["ma", "--p", "5", "--a", "2"]), COUNT | {"powker.homspace"}),
     ],
-    ids=["package", "cli", "count-name", "help", "no-command", "unknown-command", "sweep", "filtration", "verify", "ma"],
+    ids=[
+        "package", "cli", "count-name", "help", "no-command", "unknown-command",
+        "sweep-help", "ma-no-level", "verify-bad-prime", "sweep", "filtration", "verify", "ma",
+    ],
 )
 def test_each_command_loads_only_its_engine(code, loaded):
     # `sweep` and `filtration` never load homspace, `verify` and `ma` never
     # load bounds, and neither the package nor --help nor a usage error
-    # loads any engine module
+    # (of a command too) loads any engine module; text and CSV output load no json
     assert _loaded_after(code) == loaded
 
 

@@ -369,6 +369,27 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.startswith("p,a,dim_ma")
 
+    def test_help_and_usage_error_through_the_entry_point(self):
+        # the subparser's default picks the command only after parsing, so
+        # neither run imports an engine module (-X importtime logs each import)
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "powker", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        proc = run("sweep", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: powker sweep")
+        assert "powker.ffpoly" not in proc.stderr
+        proc = run("ma", "--p", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "the following arguments are required: --a" in proc.stderr
+        assert "powker.ffpoly" not in proc.stderr
+
     def test_verify_failure_exit_code_is_reachable(self):
         # sanity that exit code discipline holds end to end
         proc = subprocess.run(
