@@ -32,6 +32,7 @@ COMMANDS = (
     ("sweep", "--max-pa", "60", "--jobs", "2"),
     ("filtration", "--p", "13", "--a", "3"),
     ("filtration", "--p", "13", "--a", "3", "--format", "json"),
+    ("filtration", "--p", "13", "--a", "3", "--format", "csv"),
     ("ma", "--p", "47", "--a", "2", "--basis"),
     ("ma", "--p", "47", "--a", "2", "--basis", "--format", "json"),
     ("verify", "--p", "7", "--suite", "all"),

@@ -21,11 +21,10 @@ deterministic.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 from ._version import __version__
 from .errors import ConsistencyError
-from .ffpoly import PrimeModulus, _is_prime
+from .ffpoly import Frozen, PrimeModulus, _is_prime
 from .crt import HomProblem, _check_ma_dim, _ma_problem, kernel_dim
 from .reps import filtration_rep
 from .steenrod import h_poly, parameters
@@ -46,20 +45,15 @@ __all__ = [
 ORDER_STATEMENT = "all p-power torsion has order p"
 
 
-class FiltrationRow(NamedTuple):
-    k: int
-    dim_v: int
-    hom_dim: int
-    ext11: int | None
+class FiltrationRow(Frozen):
+    __slots__ = ("k", "dim_v", "hom_dim", "ext11")
 
     def to_json(self) -> dict:
         return {"k": self.k, "dim_v": self.dim_v, "hom_dim": self.hom_dim, "ext11": self.ext11}
 
 
-class FiltrationTable(NamedTuple):
-    p: PrimeModulus
-    a: int
-    rows: tuple[FiltrationRow, ...]
+class FiltrationTable(Frozen):
+    __slots__ = ("p", "a", "rows")
 
     def hom_dims(self) -> tuple[int, ...]:
         return tuple(row.hom_dim for row in self.rows)
@@ -71,29 +65,14 @@ class FiltrationTable(NamedTuple):
             "rows": [row.to_json() for row in self.rows],
         }
 
-    def to_csv(self) -> str:
-        lines = ["k,dim_v,hom_dim,ext11"]
-        for row in self.rows:
-            ext = "" if row.ext11 is None else str(row.ext11)
-            lines.append(f"{row.k},{row.dim_v},{row.hom_dim},{ext}")
-        return "\n".join(lines) + "\n"
+
+class RankReport(Frozen):
+    __slots__ = ("p", "a", "dim_ma", "ext11", "rank_lower", "rank_upper", "rank_e2",
+                 "conjecture_zp", "order_statement")
 
 
-class RankReport(NamedTuple):
-    p: PrimeModulus
-    a: int
-    dim_ma: int
-    ext11: int
-    rank_lower: int
-    rank_upper: int
-    rank_e2: int
-    conjecture_zp: bool
-    order_statement: str
-
-
-class SweepRow(NamedTuple):
-    report: RankReport
-    ms: float
+class SweepRow(Frozen):
+    __slots__ = ("report", "ms")
 
     def to_json(self) -> dict:
         r = self.report
@@ -109,10 +88,8 @@ class SweepRow(NamedTuple):
         }
 
 
-class SweepReport(NamedTuple):
-    max_pa: int
-    engine: str
-    rows: tuple[SweepRow, ...]
+class SweepReport(Frozen):
+    __slots__ = ("max_pa", "engine", "rows")
 
     def to_json(self) -> dict:
         return {
@@ -120,17 +97,6 @@ class SweepReport(NamedTuple):
             "engine": self.engine,
             "rows": [row.to_json() for row in self.rows],
         }
-
-    def to_csv(self) -> str:
-        lines = ["p,a,dim_ma,ext11,rank_lower,rank_upper,conjecture_zp,ms"]
-        for row in self.rows:
-            d = row.to_json()
-            flag = "true" if d["conjecture_zp"] else "false"
-            lines.append(
-                f"{d['p']},{d['a']},{d['dim_ma']},{d['ext11']},"
-                f"{d['rank_lower']},{d['rank_upper']},{flag},{d['ms']}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _flag_walk(p: PrimeModulus, a: int, blocks: int) -> list[tuple[int, int, int]]:

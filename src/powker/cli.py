@@ -58,6 +58,18 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _csv_text(rows) -> str:
+    """The records' `to_json` values under a header of the first one's keys;
+    None is an empty field and a bool is `true` or `false`."""
+    data = [row.to_json() for row in rows]
+    lines = [",".join(data[0])]
+    for d in data:
+        lines.append(",".join(
+            "" if v is None else str(v).lower() if isinstance(v, bool) else str(v) for v in d.values()
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def _build_parser():
     import argparse
 
@@ -227,7 +239,7 @@ def _cmd_filtration(args) -> tuple[str, int]:
             data["pre_dims"] = list(pre)
         return _json_text(data), 0
     if args.format == "csv":
-        return table.to_csv(), 0
+        return _csv_text(table.rows), 0
     lines = [f"p = {p.p}, a = {args.a}", " k  dim_v  hom_dim  ext11"]
     for row in table.rows:
         ext = "-" if row.ext11 is None else str(row.ext11)
@@ -252,7 +264,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     if args.format == "json":
         return _json_text(report.to_json()), 0
     if args.format == "csv":
-        return report.to_csv(), 0
+        return _csv_text(report.rows), 0
     lines = [f"max_pa = {report.max_pa}, engine = {report.engine}",
              "  p   a  dim_ma  ext11  rank    Z/p       ms"]
     for row in report.rows:

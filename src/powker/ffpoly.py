@@ -18,21 +18,21 @@ monic in x (its leading x-coefficient is the constant 1), so quotient
 and remainder are exact and unique with deg_x(remainder) < deg_x(divisor).
 
 Scalars of F_p are plain ints, canonical in [0, p).  The package's
-validated value classes (`PrimeModulus` and those in the other
-modules) derive from `Frozen`: their fields live in
-`__slots__` and are set once in `__init__`; equality (same class only),
-hash and the `Name(field=value, ...)` repr use every field; assignment
-raises AttributeError; and a pickle restores the fields as stored,
-without validating them again.  Plain records are
-`typing.NamedTuple`s.  Both are cheap to define, which keeps the CLI's
-start-up short.
+value classes derive from `Frozen`: their fields live in `__slots__`
+and are set once; equality (same class only), hash and the
+`Name(field=value, ...)` repr use every field; assignment raises
+AttributeError; and a pickle restores the fields as stored, without
+validating them again.  Plain records (`Parameters`, `HomSpace`, the
+reports of `bounds`) take the fields by position or keyword, in
+`__slots__` order; the validated classes (`PrimeModulus`,
+`Representation`, `HomProblem`) define their own `__init__`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator, Mapping
 
 __all__ = [
     "Frozen",
@@ -81,6 +81,14 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        """Set every field, by position or keyword in `__slots__` order."""
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        self._set(*map(values.__getitem__, names))
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):

@@ -142,9 +142,6 @@ class HomSpace(Frozen):
 
     __slots__ = ("problem", "basis")
 
-    def __init__(self, problem: HomProblem, basis: tuple[BiPoly, ...]):
-        self._set(problem, basis)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -257,7 +254,7 @@ def hom_space(problem: HomProblem) -> HomSpace:
     return HomSpace(problem, tuple(basis))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     """The level-a kernel space at the half-flag divisor.
 
@@ -266,9 +263,9 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     space down to the linear span of the family elements; the half-flag
     space is the one whose dimension (p - 1) the rank reports use.  A
     dimension outside the proven window (p+1)/2 .. p - 1 raises
-    ConsistencyError, as in `bounds.rank_report`.  The last eight levels
-    are cached: `verify` walks consecutive levels, and eight entries also
-    cover every pair of levels up to p = 7.
+    ConsistencyError, as in `bounds.rank_report`.  The last two levels
+    are cached: no caller holds more at a time (the shift suite's walk
+    reads levels a and a + 1, `mul_r_shift` and `div_r_shift` two each).
     """
     space = hom_space(_ma_problem(p, a))
     _check_ma_dim(p.p, space.dim)

@@ -26,9 +26,7 @@ so that delta - epsilon = a - 2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .ffpoly import BiPoly, PrimeModulus, binom_mod
+from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 
 __all__ = [
     "binomial_terms",
@@ -78,13 +76,10 @@ def total_power(m: BiPoly) -> BiPoly:
     return BiPoly(m.modulus, acc)
 
 
-class Parameters(NamedTuple):
+class Parameters(Frozen):
     """Derived level data: twist exponent epsilon and working degree delta."""
 
-    p: PrimeModulus
-    a: int
-    epsilon: int
-    delta: int
+    __slots__ = ("p", "a", "epsilon", "delta")
 
 
 def parameters(p: PrimeModulus, a: int) -> Parameters:

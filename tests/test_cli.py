@@ -103,6 +103,26 @@ class TestVerify:
         assert levels == expected
         assert builds == expected  # one operator per level, membership included
 
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_each_level_is_one_hom_space(self, capsys, monkeypatch, q):
+        # two cached levels cover the walk: every suite together builds
+        # levels 2 .. p once each, and no level twice
+        problems = []
+        real = homspace.hom_space
+
+        def counting_hom_space(problem):
+            problems.append(problem)
+            return real(problem)
+
+        homspace.ma_space.cache_clear()
+        monkeypatch.setattr(homspace, "hom_space", counting_hom_space)
+        try:
+            code, _out, _ = run_cli(capsys, "verify", "--p", str(q), "--suite", "all")
+        finally:
+            homspace.ma_space.cache_clear()
+        assert code == 0
+        assert len(problems) == len(set(problems)) == q - 1
+
     def test_level_outside_the_proven_window_exits_1(self, capsys, monkeypatch):
         # a local solver that loses one solution: the level's basis passes its
         # own certificates, but its dimension falls below (p + 1) / 2
@@ -160,6 +180,10 @@ class TestFiltration:
         code, out, _ = run_cli(capsys, "filtration", "--p", "3", "--a", "2", "--format", "csv")
         assert code == 0
         assert out.startswith("k,dim_v,hom_dim,ext11\n")
+        lines = out.strip().split("\n")
+        assert lines[0] == "k,dim_v,hom_dim,ext11"
+        assert lines[1] == "0,3,3,"
+        assert lines[-1] == "3,6,2,1"
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "filtration", "--p", "3", "--a", "2")
@@ -180,6 +204,10 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--max-pa", "10", "--format", "csv")
         assert code == 0
         assert out.startswith("p,a,dim_ma,ext11,")
+        header, *rows = out.strip().split("\n")
+        assert header == "p,a,dim_ma,ext11,rank_lower,rank_upper,conjecture_zp,ms"
+        assert rows[0].startswith("3,2,2,1,1,2,true,")
+        assert len(rows) == len(_sweep_pairs(10))
 
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--max-pa", "10", "--format", "text")

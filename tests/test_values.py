@@ -3,7 +3,9 @@
 For each class: equal values compare and hash equal, a different field
 value compares unequal, the repr has the `Name(field=value, ...)` form,
 assigning a field raises AttributeError, and a pickle round trip gives
-an equal object.
+an equal object.  A plain record takes its fields by position or
+keyword, refuses a missing, extra or unknown one, and is not equal to
+the tuple of its fields.
 """
 
 import pickle
@@ -114,3 +116,41 @@ class TestValueSemantics:
         assert type(back) is type(obj)
         assert back == obj and hash(back) == hash(obj) and repr(back) == repr(obj)
 
+
+
+RECORDS = (
+    "Parameters", "HomSpace", "FiltrationRow", "FiltrationTable", "RankReport", "SweepRow", "SweepReport",
+)
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in obj.__slots__)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    def test_fields_by_position_or_keyword(self, name):
+        obj = CASES[name][0](0)
+        cls, names, values = type(obj), obj.__slots__, _fields(obj)
+        assert cls(*values) == obj
+        assert cls(**dict(zip(names, values))) == obj
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == obj
+
+    def test_wrong_or_unknown_field_raises(self, name):
+        obj = CASES[name][0](0)
+        cls, names, values = type(obj), obj.__slots__, _fields(obj)
+        for args, kwargs in [
+            (values[:-1], {}),  # missing
+            (values + values[:1], {}),  # extra
+            (values, {"nope": 1}),  # unknown
+            (values[:-1], {"nope": values[-1]}),  # unknown in place of the last
+            (values, {names[0]: values[0]}),  # the first field twice
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_not_equal_to_its_tuple(self, name):
+        obj = CASES[name][0](0)
+        values = _fields(obj)
+        assert obj != values and values != obj
+        assert not obj == values and len({obj, values}) == 2
