@@ -51,6 +51,7 @@ COMMANDS = (
     ("ma", "--p", "13", "--a", "40", "--basis", "--format", "json"),
     ("ma", "--p", "23", "--a", "22", "--basis", "--format", "json"),
     ("ma", "--p", "5", "--a", "120", "--basis", "--format", "json"),
+    ("verify", "--p", "13", "--suite", "family", "--format", "json"),
 )
 
 

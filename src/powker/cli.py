@@ -127,15 +127,16 @@ def _verify_checks(p, suite: str) -> list[dict]:
             entry["detail"] = detail
         checks.append(entry)
 
+    if suite in ("family", "shift", "all"):
+        lower = ma_space(p, 2)  # the family suite's level and the shift walk's first
     if suite in ("family", "all"):
-        space = ma_space(p, 2)
         count = (p.p + 1) // 2
         vectors = []
         for k in range(count):
             elem = family_element(p, k)
-            add(f"family_member_k{k}", contains(space, elem))
-            vectors.append(space.problem.coordinates(elem))
-        rank = len(rref(vectors, space.problem.x_bound() + 1, p.p))
+            add(f"family_member_k{k}", contains(lower, elem))
+            vectors.append(lower.problem.coordinates(elem))
+        rank = len(rref(vectors, lower.problem.x_bound() + 1, p.p))
         add("family_independence", rank == count, f"rank {rank} of {count} vectors")
     if suite in ("qr", "all"):
         add("qr_identity", verify_qr_identity(p))
@@ -144,25 +145,24 @@ def _verify_checks(p, suite: str) -> list[dict]:
     if suite in ("klemma", "all"):
         add("k_polynomial_identity", verify_k_lemma(p))
     if suite in ("shift", "all"):
-        # one pass over the levels: the round trip a -> a + 1 runs while
-        # level a is at hand; the checks are reported dimensions first
-        dims: dict[int, int] = {}
+        # one pass holding levels a and a + 1 only, each built once; the
+        # checks are reported dimensions first
+        dims = {2: lower.dim}
         trips = []
-        for a in range(2, p.p + 1):
-            space = ma_space(p, a)
-            dims[a] = space.dim
-            if a == p.p:
-                break
+        for a in range(2, p.p):
+            upper = ma_space(p, a + 1)
+            dims[a + 1] = upper.dim
             try:
                 # each basis vector m of level a has m r in level a + 1, and
                 # each basis vector n of level a + 1 has n / r in level a
-                for m in space.basis:
-                    _times_r(p, a, a + 1, m)
-                for n in ma_space(p, a + 1).basis:
-                    _over_r(p, a + 1, n)
+                for m in lower.basis:
+                    _times_r(upper, a, a + 1, m)
+                for n in upper.basis:
+                    _over_r(lower, a + 1, n)
                 trips.append((f"shift_roundtrip_a{a}", True))
             except ConsistencyError as exc:
                 trips.append((f"shift_roundtrip_a{a}", False, str(exc)))
+            lower = upper
         for a in range(3, p.p + 1):
             add(f"shift_dim_a{a}", dims[a] == dims[2], f"dim {dims[a]} vs {dims[2]}")
         for trip in trips:

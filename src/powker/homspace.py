@@ -254,7 +254,6 @@ def hom_space(problem: HomProblem) -> HomSpace:
     return HomSpace(problem, tuple(basis))
 
 
-@lru_cache(maxsize=2)
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     """The level-a kernel space at the half-flag divisor.
 
@@ -263,9 +262,8 @@ def ma_space(p: PrimeModulus, a: int) -> HomSpace:
     space down to the linear span of the family elements; the half-flag
     space is the one whose dimension (p - 1) the rank reports use.  A
     dimension outside the proven window (p+1)/2 .. p - 1 raises
-    ConsistencyError, as in `bounds.rank_report`.  The last two levels
-    are cached: no caller holds more at a time (the shift suite's walk
-    reads levels a and a + 1, `mul_r_shift` and `div_r_shift` two each).
+    ConsistencyError, as in `bounds.rank_report`.  Each call builds the
+    level: a caller that reuses it holds the `HomSpace`.
     """
     space = hom_space(_ma_problem(p, a))
     _check_ma_dim(p.p, space.dim)
@@ -285,10 +283,6 @@ def family_element(p: PrimeModulus, k: int) -> BiPoly:
     lead = BiPoly.monomial(p, half - k, k)
     inner = BiPoly(p, {(0, pp - 1): k, (pp - 1, 0): 1 - k})
     return lead * inner
-
-
-def _in_level(p: PrimeModulus, a: int, m: BiPoly) -> bool:
-    return contains(ma_space(p, a), m)
 
 
 def contains(space: HomSpace, m: BiPoly) -> bool:
@@ -313,21 +307,23 @@ def contains(space: HomSpace, m: BiPoly) -> bool:
 
 
 def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
-    """Map a level-a kernel element to level b >= a via m * r^(b-a)."""
-    pp = p.p
-    if not 2 <= a <= pp - 1:
+    """Map a level-a kernel element to level b >= a via m * r^(b-a).
+
+    Builds levels a and b (one level when b == a) to check m and its image."""
+    if not 2 <= a <= p.p - 1:
         raise ValueError(f"a must satisfy 2 <= a <= p-1, got {a}")
     if b < a:
         raise ValueError(f"b must be at least a, got {b} < {a}")
-    if not _in_level(p, a, m):
+    lower = ma_space(p, a)
+    if not contains(lower, m):
         raise ValueError("m is not in the level-a kernel space")
-    return _times_r(p, a, b, m)
+    return _times_r(lower if b == a else ma_space(p, b), a, b, m)
 
 
-def _times_r(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
-    """m * r^(b-a) for m in level a, checked to lie in level b."""
-    out = m * r_poly(p) ** (b - a)
-    if not _in_level(p, b, out):
+def _times_r(upper: HomSpace, a: int, b: int, m: BiPoly) -> BiPoly:
+    """m * r^(b-a) for m in level a, checked to lie in `upper`, level b."""
+    out = m * r_poly(upper.problem.p) ** (b - a)
+    if not contains(upper, out):
         raise ConsistencyError(
             f"r-multiple of a level-{a} kernel element fell outside level {b}"
         )
@@ -335,20 +331,22 @@ def _times_r(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
 
 
 def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
-    """Map a level-a kernel element (a >= 3) down to level a-1 via m / r."""
+    """Map a level-a kernel element (a >= 3) down to level a-1 via m / r.
+
+    Builds levels a and a - 1 to check m and its quotient."""
     if not 3 <= a <= p.p:
         raise ValueError(f"a must satisfy 3 <= a <= p, got {a}")
-    if not _in_level(p, a, m):
+    if not contains(ma_space(p, a), m):
         raise ValueError("m is not in the level-a kernel space")
-    return _over_r(p, a, m)
+    return _over_r(ma_space(p, a - 1), a, m)
 
 
-def _over_r(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
-    """m / r for m in level a, checked to be exact and to lie in level a - 1."""
-    quotient, rem = m.divmod_x(r_poly(p))
+def _over_r(lower: HomSpace, a: int, m: BiPoly) -> BiPoly:
+    """m / r for m in level a, checked to be exact and to lie in `lower`, level a - 1."""
+    quotient, rem = m.divmod_x(r_poly(lower.problem.p))
     if not rem.is_zero():
         raise ConsistencyError(f"level-{a} kernel element is not divisible by r")
-    if not _in_level(p, a - 1, quotient):
+    if not contains(lower, quotient):
         raise ConsistencyError(
             f"quotient by r of a level-{a} kernel element fell outside level {a - 1}"
         )

@@ -93,7 +93,6 @@ class TestVerify:
             builds.append(problem.rep.dim)
             return real_level_rows(problem)
 
-        homspace.ma_space.cache_clear()
         monkeypatch.setattr(crt, "filtration_rep", counting_filtration_rep)
         monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
@@ -105,8 +104,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("q", [7, 11])
     def test_each_level_is_one_hom_space(self, capsys, monkeypatch, q):
-        # two cached levels cover the walk: every suite together builds
-        # levels 2 .. p once each, and no level twice
+        # the family suite and the shift walk share level 2, and the walk
+        # holds levels a and a + 1: every suite together builds levels
+        # 2 .. p once each, and no level twice
         problems = []
         real = homspace.hom_space
 
@@ -114,12 +114,8 @@ class TestVerify:
             problems.append(problem)
             return real(problem)
 
-        homspace.ma_space.cache_clear()
         monkeypatch.setattr(homspace, "hom_space", counting_hom_space)
-        try:
-            code, _out, _ = run_cli(capsys, "verify", "--p", str(q), "--suite", "all")
-        finally:
-            homspace.ma_space.cache_clear()
+        code, _out, _ = run_cli(capsys, "verify", "--p", str(q), "--suite", "all")
         assert code == 0
         assert len(problems) == len(set(problems)) == q - 1
 
@@ -128,14 +124,10 @@ class TestVerify:
         # own certificates, but its dimension falls below (p + 1) / 2
         real = crt._local_system
         monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
-        homspace.ma_space.cache_clear()
-        try:
-            for argv in (["ma", "--p", "5", "--a", "2"], ["verify", "--p", "5", "--suite", "shift"]):
-                code, out, err = run_cli(capsys, *argv)
-                assert (code, out) == (1, "")
-                assert "internal consistency error: kernel dimension 0 is below the proven lower bound 3" in err
-        finally:
-            homspace.ma_space.cache_clear()
+        for argv in (["ma", "--p", "5", "--a", "2"], ["verify", "--p", "5", "--suite", "shift"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "internal consistency error: kernel dimension 0 is below the proven lower bound 3" in err
 
     def test_identity_tables_built_once(self):
         # the qr check and the K-lemma read one product, and it and the
@@ -276,7 +268,6 @@ class TestSizeLimits:
         def start(*args):
             raise Started
 
-        homspace.ma_space.cache_clear()
         monkeypatch.setattr(homspace, "hom_space", start)
         for module in (crt, homspace, bounds):
             monkeypatch.setattr(module, "kernel_dim", start)

@@ -156,6 +156,15 @@ class TestGoldenSpaces:
         }
         assert "basis" not in ma_space(P3, 2).to_json(include_basis=False)
 
+    def test_each_call_builds_the_level(self, monkeypatch):
+        # a local solver that loses one solution after the level was built
+        # once: the next call rebuilds it and sees the fault
+        ma_space(P5, 2)
+        real = crt._local_system
+        monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
+        with pytest.raises(ConsistencyError, match="kernel dimension 0 is below the proven lower bound 3"):
+            ma_space(P5, 2)
+
 
 def _in_span(space: HomSpace, m: BiPoly) -> bool:
     domain = space.problem.domain_monomials()
@@ -293,7 +302,8 @@ class TestShifts:
 
             return level
 
-        m = ma_space(P3, 2).basis[0]
+        lower, upper = ma_space(P3, 2), ma_space(P3, 3)
+        m = lower.basis[0]
         lifted = mul_r_shift(P3, 2, 3, m)
         monkeypatch.setattr(homspace, "ma_space", patched(2))
         with pytest.raises(ConsistencyError):
@@ -301,6 +311,25 @@ class TestShifts:
         monkeypatch.setattr(homspace, "ma_space", patched(3))
         with pytest.raises(ConsistencyError):
             div_r_shift(P3, 3, lifted)
+        # the helpers check against the space they are handed
+        assert homspace._times_r(upper, 2, 3, m) == lifted
+        assert homspace._over_r(lower, 3, lifted) == m
+        with pytest.raises(ConsistencyError):
+            homspace._times_r(HomSpace(upper.problem, ()), 2, 3, m)
+        with pytest.raises(ConsistencyError):
+            homspace._over_r(HomSpace(lower.problem, ()), 3, lifted)
+
+    def test_shifts_build_the_levels_they_check(self, monkeypatch):
+        # level a alone when b == a, else levels a and b; div_r_shift levels a and a - 1
+        m = ma_space(P5, 2).basis[0]
+        built = []
+        real = homspace.hom_space
+        monkeypatch.setattr(homspace, "hom_space", lambda problem: built.append(problem) or real(problem))
+        assert mul_r_shift(P5, 2, 2, m) == m
+        assert len(built) == 1
+        lifted = mul_r_shift(P5, 2, 4, m)
+        assert div_r_shift(P5, 4, lifted) == m * r_poly(P5)
+        assert built == [crt._ma_problem(P5, a) for a in (2, 2, 4, 4, 3)]
 
     def test_level_range_checks(self):
         m = ma_space(P3, 2).basis[0]
@@ -392,7 +421,9 @@ class TestIdentitySuite:
         # whose quotients are m by construction
         seen = []
         real = homspace._over_r
-        monkeypatch.setattr(homspace, "_over_r", lambda p, a, n: seen.append((a, n)) or real(p, a, n))
+        monkeypatch.setattr(
+            homspace, "_over_r", lambda lower, a, n: seen.append((a, n)) or real(lower, a, n)
+        )
         assert main(["verify", "--p", "5", "--suite", "shift"]) == 0
         assert seen == [(a, n) for a in (3, 4, 5) for n in ma_space(P5, a).basis]
 
