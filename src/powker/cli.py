@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line interface: parse, refuse, call one engine entry point, render.
 
 Subcommands: ``ma`` (one kernel space), ``verify`` (identity and family
 checks), ``filtration`` (Hom-dimension table along the flag
@@ -8,23 +8,20 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
 error.  JSON and CSV output formats are stable; text output is for
 humans and may change.
 
-Before any work, a command refuses (exit 2) a level wider than
-MAX_COLUMNS domain columns, `sweep` refuses `--max-pa` over
-MAX_SWEEP_PA, `filtration` refuses p > MAX_FILTRATION_P, and `verify`
-refuses the shift suite for p > MAX_SHIFT_P and the identity suites for
-p > MAX_IDENTITY_P.  On a 2-vCPU machine, a level of about 2000 columns
-took 12 s (p = 5, a = 400) to 25 s and 193 MB (p = 1327, a = 2), the
-qr and klemma identities took 9 s each at p = 47, the shift suite 5.4 s
-at p = 23 and 28 s at p = 29 (the next prime, 31, is refused), and
-`filtration --a 2` 6.5 s at p = 307 and 17 s at p = 449 (about p^2.5, so
-p = 1327 would run for about 4 minutes).  `--max-pa 500` took about 1 s,
-in one process.
+A command checks its limits before it loads its engine, and refuses
+(exit 2) naming the one that binds.  The work limit comes first: `sweep`
+takes `--max-pa` <= MAX_SWEEP_PA, `filtration` p <= MAX_FILTRATION_P,
+and `verify` p <= MAX_SHIFT_P for the shift suite and p <= MAX_IDENTITY_P
+for the identity suites.  Then every level it builds must be at most
+MAX_COLUMNS domain columns wide.  README's "Size limits" has the timings
+behind each limit.
 
-Importing this module loads no engine module and no `json`: `argparse`
-checks the arguments first, then the command imports the engine it uses,
-`bounds` for `sweep` and `filtration` (with `crt`, never `homspace`) and
-`homspace` for `ma` and `verify` (never `bounds`), so `--help` and usage
-errors compile none.
+Importing this module loads no engine module and no `json`.  A command
+loads `ffpoly` to validate p, checks its limits, and only then imports
+its engine: `bounds` for `sweep` and `filtration` (with `crt`, never
+`homspace`), `homspace` for `ma` and `verify` (never `bounds`), whose
+`_verify_checks` runs the suites.  So `--help`, usage errors and
+refusals compile no other engine module.
 """
 
 from __future__ import annotations
@@ -114,62 +111,6 @@ def _build_parser():
     return parser
 
 
-def _verify_checks(p, suite: str) -> list[dict]:
-    from ._pykernel import rref
-    from .homspace import _over_r, _times_r, contains, family_element, ma_space
-    from .homspace import verify_k_lemma, verify_qr_identity, verify_substitution_identity
-
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool, detail: str | None = None):
-        entry: dict = {"name": name, "ok": bool(ok)}
-        if detail:
-            entry["detail"] = detail
-        checks.append(entry)
-
-    if suite in ("family", "shift", "all"):
-        lower = ma_space(p, 2)  # the family suite's level and the shift walk's first
-    if suite in ("family", "all"):
-        count = (p.p + 1) // 2
-        vectors = []
-        for k in range(count):
-            elem = family_element(p, k)
-            add(f"family_member_k{k}", contains(lower, elem))
-            vectors.append(lower.problem.coordinates(elem))
-        rank = len(rref(vectors, lower.problem.x_bound() + 1, p.p))
-        add("family_independence", rank == count, f"rank {rank} of {count} vectors")
-    if suite in ("qr", "all"):
-        add("qr_identity", verify_qr_identity(p))
-    if suite in ("subst", "all"):
-        add("substitution_identity", verify_substitution_identity(p))
-    if suite in ("klemma", "all"):
-        add("k_polynomial_identity", verify_k_lemma(p))
-    if suite in ("shift", "all"):
-        # one pass holding levels a and a + 1 only, each built once; the
-        # checks are reported dimensions first
-        dims = {2: lower.dim}
-        trips = []
-        for a in range(2, p.p):
-            upper = ma_space(p, a + 1)
-            dims[a + 1] = upper.dim
-            try:
-                # each basis vector m of level a has m r in level a + 1, and
-                # each basis vector n of level a + 1 has n / r in level a
-                for m in lower.basis:
-                    _times_r(upper, a, a + 1, m)
-                for n in upper.basis:
-                    _over_r(lower, a + 1, n)
-                trips.append((f"shift_roundtrip_a{a}", True))
-            except ConsistencyError as exc:
-                trips.append((f"shift_roundtrip_a{a}", False, str(exc)))
-            lower = upper
-        for a in range(3, p.p + 1):
-            add(f"shift_dim_a{a}", dims[a] == dims[2], f"dim {dims[a]} vs {dims[2]}")
-        for trip in trips:
-            add(*trip)
-    return checks
-
-
 def _render_verify(p, suite: str, checks: list[dict], fmt: str) -> str:
     ok = all(c["ok"] for c in checks)
     if fmt == "json":
@@ -186,10 +127,10 @@ def _render_verify(p, suite: str, checks: list[dict], fmt: str) -> str:
 
 def _cmd_ma(args) -> tuple[str, int]:
     from .ffpoly import PrimeModulus
-    from .homspace import ma_space
 
     p = PrimeModulus(args.p)
     _check_level(p.p, args.a)
+    from .homspace import ma_space
     space = ma_space(p, args.a)
     if args.format == "json":
         return _json_text(space.to_json(a=args.a, include_basis=args.basis)), 0
@@ -210,27 +151,28 @@ def _cmd_verify(args) -> tuple[str, int]:
     from .ffpoly import PrimeModulus
 
     p = PrimeModulus(args.p)
+    if args.suite in ("shift", "all") and p.p > MAX_SHIFT_P:
+        raise ValueError(f"the shift suite takes p <= {MAX_SHIFT_P}, got {p.p}")
+    if args.suite in ("qr", "subst", "klemma", "all") and p.p > MAX_IDENTITY_P:
+        raise ValueError(f"the identity suites take p <= {MAX_IDENTITY_P}, got {p.p}")
     if args.suite in ("family", "all"):
         _check_level(p.p, 2)
     if args.suite in ("shift", "all"):
         _check_level(p.p, p.p)
-        if p.p > MAX_SHIFT_P:
-            raise ValueError(f"the shift suite takes p <= {MAX_SHIFT_P}, got {p.p}")
-    if args.suite in ("qr", "subst", "klemma", "all") and p.p > MAX_IDENTITY_P:
-        raise ValueError(f"the identity suites take p <= {MAX_IDENTITY_P}, got {p.p}")
+    from .homspace import _verify_checks
     checks = _verify_checks(p, args.suite)
     text = _render_verify(p, args.suite, checks, args.format)
     return text, 0 if all(c["ok"] for c in checks) else 1
 
 
 def _cmd_filtration(args) -> tuple[str, int]:
-    from .bounds import filtration_table, pre_filtration_dims
     from .ffpoly import PrimeModulus
 
     p = PrimeModulus(args.p)
-    _check_level(p.p, args.a)
     if p.p > MAX_FILTRATION_P:
         raise ValueError(f"filtration takes p <= {MAX_FILTRATION_P}, got {p.p}")
+    _check_level(p.p, args.a)
+    from .bounds import filtration_table, pre_filtration_dims
     table = filtration_table(p, args.a)
     pre = pre_filtration_dims(p, args.a) if args.a >= 3 else None
     if args.format == "json":
@@ -251,15 +193,14 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
-    from .bounds import sweep
-
+    if args.max_pa > MAX_SWEEP_PA:
+        raise ValueError(f"sweep to max_pa {args.max_pa} is over the limit of {MAX_SWEEP_PA}")
     # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
     for q in (3, 5):
         _check_level(q, args.max_pa // q)
-    if args.max_pa > MAX_SWEEP_PA:
-        raise ValueError(f"sweep to max_pa {args.max_pa} is over the limit of {MAX_SWEEP_PA}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    from .bounds import sweep
     report = sweep(args.max_pa)
     if args.format == "json":
         return _json_text(report.to_json()), 0

@@ -98,6 +98,9 @@ The identities read one table of the (x - k t)^(p-1), `_linear_powers`, and one
 product, `_k_product`: the K-lemma's K-coefficients of prod_k (K + (x - k t)^(p-1)),
 whose sum (K = 1) is Q(r).  The substitution check multiplies each power by x - k t.
 Both are cached for the last prime, so `verify --suite all` builds each once.
+
+`_verify_checks` runs `verify`'s suites: the family elements in level 2,
+the three identities, and the shift walk, which holds levels a and a + 1.
 """
 
 from __future__ import annotations
@@ -393,3 +396,57 @@ def verify_k_lemma(p: PrimeModulus) -> bool:
         for n in range(1, pp + 1)
     ]
     return list(_k_product(p)) == rhs
+
+
+def _verify_checks(p: PrimeModulus, suite: str) -> list[dict]:
+    """The checks of one `verify` suite, in order: each a dict of `name`,
+    `ok` and, for the family rank and the shift dimensions, `detail`."""
+    checks: list[dict] = []
+
+    def add(name: str, ok: bool, detail: str | None = None):
+        entry: dict = {"name": name, "ok": bool(ok)}
+        if detail:
+            entry["detail"] = detail
+        checks.append(entry)
+
+    if suite in ("family", "shift", "all"):
+        lower = ma_space(p, 2)  # the family suite's level and the shift walk's first
+    if suite in ("family", "all"):
+        count = (p.p + 1) // 2
+        vectors = []
+        for k in range(count):
+            elem = family_element(p, k)
+            add(f"family_member_k{k}", contains(lower, elem))
+            vectors.append(lower.problem.coordinates(elem))
+        rank = len(rref(vectors, lower.problem.x_bound() + 1, p.p))
+        add("family_independence", rank == count, f"rank {rank} of {count} vectors")
+    if suite in ("qr", "all"):
+        add("qr_identity", verify_qr_identity(p))
+    if suite in ("subst", "all"):
+        add("substitution_identity", verify_substitution_identity(p))
+    if suite in ("klemma", "all"):
+        add("k_polynomial_identity", verify_k_lemma(p))
+    if suite in ("shift", "all"):
+        # one pass holding levels a and a + 1 only, each built once; the
+        # checks are reported dimensions first
+        dims = {2: lower.dim}
+        trips = []
+        for a in range(2, p.p):
+            upper = ma_space(p, a + 1)
+            dims[a + 1] = upper.dim
+            try:
+                # each basis vector m of level a has m r in level a + 1, and
+                # each basis vector n of level a + 1 has n / r in level a
+                for m in lower.basis:
+                    _times_r(upper, a, a + 1, m)
+                for n in upper.basis:
+                    _over_r(lower, a + 1, n)
+                trips.append((f"shift_roundtrip_a{a}", True))
+            except ConsistencyError as exc:
+                trips.append((f"shift_roundtrip_a{a}", False, str(exc)))
+            lower = upper
+        for a in range(3, p.p + 1):
+            add(f"shift_dim_a{a}", dims[a] == dims[2], f"dim {dims[a]} vs {dims[2]}")
+        for trip in trips:
+            add(*trip)
+    return checks

@@ -195,16 +195,21 @@ def _main(argv: list[str]) -> str:
         (_main(["filtration", "--p", "5", "--a", "3"]), COUNT | {"powker.bounds"}),
         (_main(["verify", "--p", "3", "--suite", "all"]), COUNT | {"powker.homspace"}),
         (_main(["ma", "--p", "5", "--a", "2"]), COUNT | {"powker.homspace"}),
+        (_main(["sweep", "--max-pa", "2006"]), set()),
+        (_main(["filtration", "--p", "457", "--a", "2"]), {"powker.ffpoly"}),
+        (_main(["ma", "--p", "3", "--a", "668"]), {"powker.ffpoly"}),
     ],
     ids=[
         "package", "cli", "count-name", "help", "no-command", "unknown-command",
         "sweep-help", "ma-no-level", "verify-bad-prime", "sweep", "filtration", "verify", "ma",
+        "sweep-refused", "filtration-refused", "ma-refused",
     ],
 )
 def test_each_command_loads_only_its_engine(code, loaded):
     # `sweep` and `filtration` never load homspace, `verify` and `ma` never
     # load bounds, and neither the package nor --help nor a usage error
-    # (of a command too) loads any engine module; text and CSV output load no json
+    # (of a command too) loads any engine module; a command over a limit
+    # loads at most `ffpoly`, to validate p; text and CSV output load no json
     assert _loaded_after(code) == loaded
 
 

@@ -135,7 +135,7 @@ class TestVerify:
         tables = (homspace._linear_powers, homspace._k_product)
         for table in tables:
             table.cache_clear()
-        cli._verify_checks(PrimeModulus(5), "all")
+        homspace._verify_checks(PrimeModulus(5), "all")
         for table in tables:
             info = table.cache_info()
             assert (info.misses, info.hits) == (1, 1), table.__name__
@@ -280,10 +280,10 @@ class TestSizeLimits:
             ["ma", "--p", "65537", "--a", "2"],  # 98305 columns
             ["ma", "--p", "3", "--a", "668"],  # 2002
             ["filtration", "--p", "3", "--a", "668"],
-            ["sweep", "--max-pa", "2006"],  # p = 3, a = 668
+            ["filtration", "--p", "449", "--a", "5"],  # 2020
+            ["filtration", "--p", "13", "--a", "155"],  # 2008
             ["verify", "--p", "1999", "--suite", "family"],  # a = 2: 2998
-            ["verify", "--p", "47", "--suite", "shift"],  # a = 47: 2185
-            ["verify", "--p", "47", "--suite", "all"],
+            ["verify", "--p", "1361", "--suite", "family"],  # 2041; the prime after 1327
             ["verify", "--p", "53", "--suite", "qr"],
             ["verify", "--p", "53", "--suite", "subst"],
             ["verify", "--p", "53", "--suite", "klemma"],
@@ -318,11 +318,13 @@ class TestSizeLimits:
             (["verify", "--p", "31", "--suite", "shift"], "the shift suite takes p <= 29, got 31"),
             (["verify", "--p", "43", "--suite", "shift"], "the shift suite takes p <= 29, got 43"),  # 1827
             (["verify", "--p", "31", "--suite", "all"], "the shift suite takes p <= 29, got 31"),
+            (["verify", "--p", "47", "--suite", "shift"], "the shift suite takes p <= 29, got 47"),  # 2185
+            (["verify", "--p", "47", "--suite", "all"], "the shift suite takes p <= 29, got 47"),
         ],
     )
     def test_over_the_prime_limit_exits_2(self, capsys, argv, message):
-        # each level is narrow enough, but the walk over the steps or the
-        # levels is too long
+        # the walk over the steps or the levels is too long; this limit is
+        # checked first, so it is named even where a level is too wide too
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
@@ -338,10 +340,11 @@ class TestSizeLimits:
                     with pytest.raises(Started):
                         main(argv)
 
-    @pytest.mark.parametrize("max_pa", [501, 1000, 2003])
+    @pytest.mark.parametrize("max_pa", [501, 1000, 2003, 2006])
     def test_sweep_over_the_work_limit_exits_2(self, capsys, max_pa):
-        # each level is narrow enough (997 columns at 1000, 1999 at 2003),
-        # but the budget is over --max-pa 500
+        # the budget is over --max-pa 500; this limit is checked first, so it
+        # is named whether the widest level is narrow enough (997 columns at
+        # 1000, 1999 at 2003) or not (2002 at 2006)
         code, out, err = run_cli(capsys, "sweep", "--max-pa", str(max_pa))
         assert (code, out) == (2, "")
         assert f"sweep to max_pa {max_pa} is over the limit of 500" in err

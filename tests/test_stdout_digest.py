@@ -1,5 +1,6 @@
-"""The stdout digest script: timings are blanked, nothing else, and the
-sweep's digest does not depend on --jobs."""
+"""The stdout digest script: timings are blanked, nothing else, the
+sweep's digest does not depend on --jobs, and every command of its list
+prints the bytes whose digests `stdout_digests.txt` stores."""
 
 import importlib.util
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "stdout_digest.py"
+STORED = Path(__file__).resolve().parent / "stdout_digests.txt"
 
 
 def _script():
@@ -37,3 +39,14 @@ def _sweep_digest(jobs: str) -> str:
 
 def test_sweep_digest_is_independent_of_jobs():
     assert _sweep_digest("1") == _sweep_digest("2")
+
+
+def test_stdout_matches_the_stored_digests():
+    # the fixed list but its two --help commands, whose text depends on the
+    # Python version and the terminal width
+    script = _script()
+    commands = [argv for argv in script.COMMANDS if "--help" not in argv]
+    stored = [line.split("  ", 1) for line in STORED.read_text().splitlines()]
+    assert [command for _sha, command in stored] == [" ".join(argv) for argv in commands]
+    for (sha, command), argv in zip(stored, commands):
+        assert script.digest(argv, script.ROOT / "src") == (sha, 0), command
