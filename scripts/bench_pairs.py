@@ -11,8 +11,11 @@ on both sides alike.  For every workload and end-to-end metric of
 the pairs, the parent's quartiles, and the number of pairs in which the
 change did better.  A change median worse than the
 parent's by more than the metric's bound (a fraction of the parent's
-median) is flagged `WORSE`, as is a side with failed passes.  The exit
-status is 1 if anything is flagged, else 0.  `BENCHMARK.json` is read from
+median) is flagged `WORSE`, as is a side with failed passes.  A metric
+on which the change meets the claim rule, better in at least nine tenths
+of the pairs and with its median further from the parent's, in the
+better direction, than the parent's interquartile range, is marked
+`CLAIMABLE`.  The exit status is 1 if anything is flagged, else 0.  `BENCHMARK.json` is read from
 this script's checkout and never written.
 """
 
@@ -65,11 +68,13 @@ def summarise(spec: dict, parent: list[dict], change: list[dict]) -> tuple[list[
             q1, q3 = quartiles(old)
             worse = sign * (new_median - old_median) > metric["bound"] * abs(old_median)
             flagged |= worse
+            claimable = wins >= 0.9 * len(old) and sign * (old_median - new_median) > q3 - q1
             step = (new_median - old_median) / old_median if old_median else 0.0
             lines.append(
                 f"{'WORSE ' if worse else ''}{key:<24} {old_median:.4g} -> {new_median:.4g} "
                 f"({step:+.1%}; parent quartiles {q1:.4g}..{q3:.4g}, IQR {q3 - q1:.3g}; "
                 f"change better in {wins}/{len(old)}; bound {metric['bound']:.0%})"
+                f"{' CLAIMABLE' if claimable else ''}"
             )
     return lines, flagged
 

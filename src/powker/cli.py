@@ -12,9 +12,10 @@ A command checks its limits before it loads its engine, and refuses
 (exit 2) naming the one that binds.  The work limit comes first: `sweep`
 takes `--max-pa` <= MAX_SWEEP_PA, `filtration` p <= MAX_FILTRATION_P,
 and `verify` p <= MAX_SHIFT_P for the shift suite and p <= MAX_IDENTITY_P
-for the identity suites.  Then every level it builds must be at most
-MAX_COLUMNS domain columns wide.  README's "Size limits" has the timings
-behind each limit.
+for the identity suites.  Then the range, with the engine's own message:
+`ma` and `filtration` take a >= 2, and `sweep` `--max-pa` >= 6.  Then
+every level it builds must be at most MAX_COLUMNS domain columns wide.
+README's "Size limits" has the timings behind each limit.
 
 Importing this module loads no engine module and no `json`.  A command
 loads `ffpoly` to validate p, checks its limits, and only then imports
@@ -39,10 +40,12 @@ MAX_FILTRATION_P = 449
 
 
 def _check_level(p: int, a: int) -> None:
-    """Refuse level a at p if its domain, min(delta, d - 1) + 1 columns with
-    d = (a-1)p + (p+1)/2, is wider than MAX_COLUMNS.  The steps of the
-    filtration walk at level a are no wider."""
-    ncols = min(p * a - (p + 3) // 2, (a - 1) * p + (p - 1) // 2) + 1
+    """Refuse a < 2, and level a at p if its domain, delta + 1 = p a - (p + 1)/2
+    columns (delta = d - 2, d = (a-1)p + (p+1)/2), is wider than MAX_COLUMNS.
+    The steps of the filtration walk at level a are no wider."""
+    if a < 2:
+        raise ValueError(f"a must be an integer >= 2, got {a}")
+    ncols = p * a - (p + 1) // 2
     if ncols > MAX_COLUMNS:
         raise ValueError(
             f"level p = {p}, a = {a} has {ncols} columns, over the limit of {MAX_COLUMNS}"
@@ -195,9 +198,12 @@ def _cmd_filtration(args) -> tuple[str, int]:
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.max_pa > MAX_SWEEP_PA:
         raise ValueError(f"sweep to max_pa {args.max_pa} is over the limit of {MAX_SWEEP_PA}")
+    if args.max_pa < 6:
+        raise ValueError(f"max_pa must be at least 6, got {args.max_pa}")
     # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
     for q in (3, 5):
-        _check_level(q, args.max_pa // q)
+        if args.max_pa >= 2 * q:  # p = q has a level a >= 2
+            _check_level(q, args.max_pa // q)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     from .bounds import sweep

@@ -1,10 +1,11 @@
 """Local kernels at the weights, and the kernel dimension counted by CRT.
 
-`_local_kernels` solves the triangular local systems of the `homspace`
-module docstring: the local kernel K_w at each weight w, as jets on the
-Taylor coordinates c^w_k, k < E = min(e_w, x_bound + 1), which only
-`_local_system` lays out by residue class mod p - 1.  `hom_space` maps
-their annihilators back to the domain and eliminates.  No CLI command
+`_local_kernels` builds the level's local table: each weight's
+multiplicity e_w, and per multiplicity e the local kernel K of the
+`homspace` module docstring, as jets on the Taylor coordinates c^w_k,
+k < E = min(e, x_bound + 1), solved once per residue class mod p - 1 by
+`_local_system`.  The count below and `hom_space` (its rows, its D0 bound
+and its weight check) read that one table.  No CLI command
 reaches a system's carried elimination or its certificate: on every
 level and flag step e_w <= a, so the one unknown freed, at n = a - 2, is
 the last of its residue class (the next identity, n + p - 1 >= a, is
@@ -146,19 +147,18 @@ def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | Non
     return n if twist == {i * (p - 1): c for i, c in binomial_terms(power, p)} else None
 
 
-def _local_kernels(problem: HomProblem):
-    """Yield (w, e_w, jets) for each weight w, ascending: a basis of K_w, each
-    solution as its jet on c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).  A
-    local system depends on w only through e_w, so each one is solved once per level.
-    """
+def _local_kernels(problem: HomProblem) -> tuple[Counter, dict[int, list[list[int]]]]:
+    """The level's local table (mult, kernels): mult maps each weight w,
+    ascending, to e_w, and kernels each multiplicity e to a basis of K, as
+    jets on c^w_0 .. c^w_(E-1), E = min(e, x_bound + 1), solved once per level."""
     twist = {g: c for g, _j, c in problem.h.iterterms()}
     vanishing = _vanishing_identity(problem, twist)
-    systems: dict[int, list[list[int]]] = {}
-    for w, e in Counter(problem.rep.weights).items():  # ascending w: the weights are sorted
-        if e not in systems:
-            rhos = range(min(e, problem.p.p - 1))
-            systems[e] = [jet for rho in rhos for jet in _local_system(problem, e, rho, twist, vanishing)]
-        yield w, e, systems[e]
+    mult = Counter(problem.rep.weights)  # ascending w: the weights are sorted
+    kernels = {}
+    for e in dict.fromkeys(mult.values()):
+        rhos = range(min(e, problem.p.p - 1))
+        kernels[e] = [jet for rho in rhos for jet in _local_system(problem, e, rho, twist, vanishing)]
+    return mult, kernels
 
 
 def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
@@ -250,11 +250,6 @@ def _taylor_rows(w: int, count: int, length: int, p: int) -> list[list[int]]:
     return rows
 
 
-def _local_dim(problem: HomProblem) -> int:
-    """D0: the sum of the local kernels' dimensions over the weights."""
-    return sum(len(jets) for _w, _e, jets in _local_kernels(problem))
-
-
 def kernel_dim(problem: HomProblem) -> int:
     """The dimension of `hom_space(problem)`, counted by CRT without a basis:
     D0 less the rank of the cut (see the module docstring).  Each step is
@@ -264,9 +259,9 @@ def kernel_dim(problem: HomProblem) -> int:
     q = p - 1
     d = problem.rep.dim
     c = d - 1 - problem.x_bound()
-    if not c:  # every sum of lifts has degree <= x_bound
-        return _local_dim(problem)
-    mult = Counter(problem.rep.weights)
+    mult, kernels = _local_kernels(problem)
+    if not c:  # every sum of lifts has degree <= x_bound: D0
+        return sum(len(kernels[e]) for e in mult.values())
     b = min(mult.values()) if len(mult) == p else 0  # the least multiplicity over F_p
     # G' = G / (x^p - x)^b, lowest power first
     g_prime = _linear_product([u for u, e in mult.items() for _ in range(e - b)], p)[::-1]
@@ -290,12 +285,13 @@ def kernel_dim(problem: HomProblem) -> int:
         raise ConsistencyError(f"count certificate failed: the series inverse of (y^{q} - 1)^{b}")
     # per weight, ascending: D^k G'(w) for k < 2 top_e - b, the coefficients of G'(w + y)
     taylor = zip(*_hasse_values(g_prime, list(mult), 2 * top_e - b, p))
-    # e -> J / (y^q - 1)^b mod y^e, the jets of m = 1 and m = x^p - x first
-    lifts: dict[int, list[list[int]]] = {}
+    # e -> J / (y^q - 1)^b mod y^e for the jets of m = 1 and m = x^p - x = y^p - y, then K's
+    ypy = [q if n == 1 else int(n == p) for n in range(top_e)]  # `times` cuts and pads the jets to e
+    lifts = {e: [times(jet, sparse_inv, e) for jet in ([1], ypy, *local)] for e, local in kernels.items()}
     # the first c coefficients at infinity of the partial fractions: packed
     # and summed over the weights for m = 1 and x^p - x, one cut row per lift
     unit, xpx, cut = 0, 0, []
-    for t, (w, e, local) in zip(taylor, _local_kernels(problem)):
+    for t, (w, e) in zip(taylor, mult.items()):
         if any(t[: e - b]) or not t[e - b]:
             raise ConsistencyError(f"count certificate failed: G' order at {w} is not {e - b}")
         # 1 / T_w mod y^e, T_w = t[e - b:], by the recurrence on its terms up to deg G'
@@ -305,9 +301,6 @@ def kernel_dim(problem: HomProblem) -> int:
             inv.append(-inv[0] * sum(map(mul, tail, reversed(inv))) % p)
         if times(t[e - b :], inv, e) != [1] + [0] * (e - 1):
             raise ConsistencyError(f"count certificate failed: the series inverse at weight {w}")
-        if e not in lifts:  # 1, x^p - x = y^p - y, then the local solutions (`times` pads them)
-            jets = [[1] + [0] * (e - 1), [q if n == 1 else int(n == p) for n in range(e)], *local]
-            lifts[e] = [times(jet, sparse_inv, e) for jet in jets]
         # S = J / G_w(w + y) mod y^e has S(y) / y^e = sum_i lam_i x^-(i + 1), y = x - w, where
         # lam_i = sum_k C(i, k) w^(i - k) S[e - 1 - k], k < min(c, e): a sum of Taylor rows
         taylor_rows = [pack(row, row_width) for row in _taylor_rows(w, min(c, e), c, p)]

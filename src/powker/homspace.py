@@ -44,17 +44,17 @@ does, and the map is never built as a matrix.  Instead, at each weight:
   c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that happens for at most
   one n per level, found by one comparison with h.  Once the kernel is
   not {0}, each identity cuts it by one elimination with dim + 1
-  columns.  The result is the local kernel K_w (`powker.crt`, which
-  also counts the level's dimension from the K_w alone by CRT), as
-  jets on c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).  A system
-  depends on w only through e_w, so weights of equal multiplicity share
-  one.  For `hom_space`, the annihilator of K_w, read off one RREF of
-  its jets by `nullspace_rows` (one unit row per unknown when K_w is
-  {0}; any basis serves, since the level's RREF below is unique), is
-  mapped back to the domain coordinates through the Taylor functionals
-  c^w_k, k < E, the rows of `crt._taylor_rows` (which `kernel_dim`
-  reads its cut through too): a unit row is a functional itself.
-  Stacked, the rows number at most E per weight, so at most d.
+  columns.  The result is the local kernel K_w, as jets on c^w_0 ..
+  c^w_(E-1), E = min(e_w, x_bound + 1).  It depends on w only through
+  e_w, so `crt._local_kernels` solves each multiplicity once, into the
+  level's local table (`kernel_dim` counts the dimension from it by
+  CRT).  For `hom_space`, each multiplicity's annihilator, read off one
+  RREF of its jets by `nullspace_rows` (one unit row per unknown when K
+  is {0}; any basis serves, since the level's RREF below is unique), is
+  mapped back to the domain coordinates at each weight of that
+  multiplicity through the Taylor functionals c^w_k, k < E, the rows of
+  `crt._taylor_rows` (which `kernel_dim` reads its cut through too): a
+  unit row is a functional itself, and there are at most E per weight.
 
 For a < p every identity has only its s = 0 term, and delta - epsilon =
 a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
@@ -76,10 +76,10 @@ keeps.  Those two checks see the basis through the stacked rows, so a
 third does not: one combination m of the basis, every coefficient
 nonzero, has its Taylor coordinates c^w_k = D^k m(w) evaluated at all
 the weights by `crt._hasse_values`, and at each weight they must
-satisfy the annihilator of K_w.  Membership (`contains` and the shift
-checks) reduces m's coordinates by that basis: at most dim passes over
-a basis vector's terms, where evaluating equations would take
-ncols - dim dot products of length ncols.
+satisfy the annihilator of K_w from the same table.  Membership
+(`contains` and the shift checks) reduces m's coordinates by that basis:
+at most dim passes over a basis vector's terms, where evaluating
+equations would take ncols - dim dot products of length ncols.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -184,28 +184,27 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, list]:
+def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, dict[int, int], dict]:
     """Rows over the domain basis, lowest x-power first (column j holds c_j),
     whose common kernel is the kernel of the level map; D0, the sum of the
-    local kernels' dimensions over the weights; and, per weight w, (w, e_w,
-    the annihilator of K_w as rows of (k, entry) terms on the c^w_k).
+    local kernels' dimensions over the weights; the local table's w -> e_w;
+    and e -> the annihilator of K as rows of (k, entry) terms on the c^w_k.
 
-    The annihilator of each local kernel, mapped back through the Taylor
-    shift: at most min(e_w, x_bound + 1) rows per weight, so at most
-    deg_x f rows in all.
+    Each annihilator is read off the table once and mapped back through the
+    Taylor shift at each weight of its multiplicity: at most min(e_w,
+    x_bound + 1) rows per weight, so at most deg_x f rows in all.
     """
     p = problem.p.p
-    top = problem.x_bound()
-    rows, annihilators = [], []
-    d0 = 0
-    local: dict[int, list[list[tuple[int, int]]]] = {}  # e_w -> rows as (k, entry) terms
-    for w, e, jets in _local_kernels(problem):
-        d0 += len(jets)
-        taylor = _taylor_rows(w, min(e, top + 1), top + 1, p)  # c^w_k in the c_j, k < len(jet)
-        if e not in local:
-            annihilator = nullspace_rows(rref(jets, len(taylor), p), len(taylor), p)
-            local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
-        annihilators.append((w, e, local[e]))
+    length = problem.x_bound() + 1
+    mult, kernels = _local_kernels(problem)
+    local = {}
+    for e, jets in kernels.items():
+        width = min(e, length)
+        annihilator = nullspace_rows(rref(jets, width, p), width, p)
+        local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
+    rows = []
+    for w, e in mult.items():
+        taylor = _taylor_rows(w, min(e, length), length, p)  # c^w_k in the c_j, k < min(e, length)
         for terms in local[e]:
             if len(terms) == 1:  # a unit row, c^w_k = 0
                 rows.append(taylor[terms[0][0]])
@@ -213,7 +212,7 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, list]:
                 coeffs = [v for _k, v in terms]
                 functionals = [taylor[k] for k, _v in terms]
                 rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
-    return rows, d0, annihilators
+    return rows, sum(len(kernels[e]) for e in mult.values()), mult, local
 
 
 def hom_space(problem: HomProblem) -> HomSpace:
@@ -230,7 +229,7 @@ def hom_space(problem: HomProblem) -> HomSpace:
     p = problem.p.p
     delta = problem.delta
     ncols = problem.x_bound() + 1
-    rows, d0, annihilators = _level_rows(problem)
+    rows, d0, mult, local = _level_rows(problem)
     reduced = rref(rows, ncols, p)
     # free columns descending: highest x-power first, the domain order
     vectors = nullspace_rows(reduced, ncols, p)[::-1]
@@ -248,10 +247,9 @@ def hom_space(problem: HomProblem) -> HomSpace:
     width = slot_width(len(vectors) * (p - 1) ** 2 + 1)
     packed = sum((i % (p - 1) + 1) * pack(vec, width) for i, vec in enumerate(vectors))
     combination = unpack(packed, ncols, width, p)
-    count = max((e for _w, e, _rows in annihilators), default=0)
-    jets = zip(*_hasse_values(combination, [w for w, _e, _rows in annihilators], count, p))
-    for jet, (w, _e, local) in zip(jets, annihilators):
-        if any(sum(jet[k] * v for k, v in terms) % p for terms in local):
+    jets = zip(*_hasse_values(combination, list(mult), max(mult.values(), default=0), p))
+    for jet, (w, e) in zip(jets, mult.items()):
+        if any(sum(jet[k] * v for k, v in terms) % p for terms in local[e]):
             raise ConsistencyError(f"kernel certificate failed: the basis leaves K_w at weight {w}")
     basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)
     return HomSpace(problem, tuple(basis))

@@ -37,3 +37,26 @@ def test_a_median_past_its_bound_and_a_failed_pass_are_flagged():
     assert lines[0] == "WORSE change: 3 of 30 passes failed"
     assert lines[1].startswith("WORSE sweep.wall_s             1 -> 1.3 (+30.0%;")
     assert "change better in 0/3" in lines[1]
+
+
+def _line(old, new):
+    lines, flagged = _summarise()(SPEC, _runs(old), _runs(new))
+    assert not flagged
+    return lines[-1]
+
+
+def test_a_gain_that_meets_the_claim_rule_is_claimable():
+    # better in 9 of 10 pairs, and the medians 0.25 apart against an IQR of 0.2
+    old = [1.0, 1.0, 1.0, 1.1, 1.1, 1.1, 1.1, 1.2, 1.2, 1.2]
+    new = [0.8, 0.8, 0.8, 0.8, 0.8, 0.9, 0.9, 0.9, 0.9, 1.3]
+    assert _line(old, new).endswith("change better in 9/10; bound 25%) CLAIMABLE")
+
+
+def test_a_gain_that_misses_either_condition_is_not_claimable():
+    old = [1.0, 1.0, 1.0, 1.1, 1.1, 1.1, 1.1, 1.2, 1.2, 1.2]
+    # far apart, but better in only 8 of 10 pairs
+    few_wins = [0.8, 0.8, 0.8, 0.8, 0.8, 0.9, 0.9, 0.9, 1.3, 1.3]
+    assert _line(old, few_wins).endswith("change better in 8/10; bound 25%)")
+    # better in every pair, but the medians 0.05 apart, inside the IQR of 0.2
+    close = [v - 0.05 for v in old]
+    assert _line(old, close).endswith("change better in 10/10; bound 25%)")

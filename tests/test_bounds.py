@@ -198,11 +198,15 @@ def _main(argv: list[str]) -> str:
         (_main(["sweep", "--max-pa", "2006"]), set()),
         (_main(["filtration", "--p", "457", "--a", "2"]), {"powker.ffpoly"}),
         (_main(["ma", "--p", "3", "--a", "668"]), {"powker.ffpoly"}),
+        (_main(["ma", "--p", "3", "--a", "1"]), {"powker.ffpoly"}),
+        (_main(["filtration", "--p", "3", "--a", "1"]), {"powker.ffpoly"}),
+        (_main(["sweep", "--max-pa", "5"]), set()),
     ],
     ids=[
         "package", "cli", "count-name", "help", "no-command", "unknown-command",
         "sweep-help", "ma-no-level", "verify-bad-prime", "sweep", "filtration", "verify", "ma",
         "sweep-refused", "filtration-refused", "ma-refused",
+        "ma-below-range", "filtration-below-range", "sweep-below-range",
     ],
 )
 def test_each_command_loads_only_its_engine(code, loaded):

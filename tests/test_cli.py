@@ -358,6 +358,45 @@ class TestSizeLimits:
                 with pytest.raises(Started):
                     main(["sweep", "--max-pa", str(max_pa)])
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ma", "--p", "3", "--a", "1"], "a must be an integer >= 2, got 1"),
+            (["filtration", "--p", "3", "--a", "1"], "a must be an integer >= 2, got 1"),
+            (["sweep", "--max-pa", "5"], "max_pa must be at least 6, got 5"),
+        ],
+    )
+    def test_below_the_range_exits_2(self, capsys, argv, message):
+        # refused before the engine loads, with the engine's own message;
+        # the column gate, which would read a = 1 at `sweep --max-pa 5`, comes after
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29])
+    def test_column_count_is_the_level_domain(self, monkeypatch, q):
+        # `_check_level` counts exactly the level's domain columns, and no
+        # step of the flag walks at level a (the filtration table's, and the
+        # pre-filtration's one block down) has a wider domain
+        mod = PrimeModulus(q)
+        widths = []
+
+        def record(problem):
+            widths.append(len(problem.domain_monomials()))
+
+        monkeypatch.setattr(bounds, "kernel_dim", record)
+        for a in range(2, 21):
+            ncols = len(homspace._ma_problem(mod, a).domain_monomials())
+            monkeypatch.setattr(cli, "MAX_COLUMNS", ncols)
+            cli._check_level(q, a)
+            monkeypatch.setattr(cli, "MAX_COLUMNS", ncols - 1)
+            with pytest.raises(ValueError, match=f"has {ncols} columns, over the limit of {ncols - 1}"):
+                cli._check_level(q, a)
+            widths.clear()
+            walks = (a - 1, a - 2) if a >= 3 else (a - 1,)
+            for blocks in walks:
+                bounds._flag_walk(mod, a, blocks)
+            assert len(widths) == len(walks) * (q + 1) and max(widths) <= ncols, (q, a)
+
     def test_sweep_limit_is_its_widest_level(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_COLUMNS", 40)
         width = {

@@ -678,8 +678,8 @@ class TestCount:
             # even in y, so without the division the residues of 1 / G still
             # sum to 0 and the count reads 1
             (
-                "lifts[e] = [times(jet, sparse_inv, e) for jet in jets]",
-                "lifts[e] = jets",
+                "lifts = {e: [times(jet, sparse_inv, e) for jet in ([1], ypy, *local)] for e, local in kernels.items()}",
+                "lifts = {e: [jet for jet in ([1], ypy, *local)] for e, local in kernels.items()}",
                 (0,) * 6 + (1, 1, 2, 2),
                 8,
                 0,
@@ -746,8 +746,9 @@ class TestOperatorProperties:
         space = hom_space(prob)
         assert _basis_coordinates(space) == _oracle_basis(prob)
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
-        # the D0 that `hom_space` certifies against, read off its own rows' pass
-        assert homspace._level_rows(prob)[1] == crt._local_dim(prob)
+        # the D0 that `hom_space` certifies against is the local table's sum
+        mult, kernels = crt._local_kernels(prob)
+        assert homspace._level_rows(prob)[1] == sum(len(kernels[e]) for e in mult.values())
 
         for b in space.basis:
             assert contains(space, b) and _divides(prob, b)
@@ -806,10 +807,33 @@ class TestWeightLocalSystems:
     @given(prob=_split_problems())
     def test_each_jet_lies_in_one_residue_class(self, prob):
         q = prob.p.p - 1
-        for _w, e, jets in crt._local_kernels(prob):
+        mult, kernels = crt._local_kernels(prob)
+        # every weight, ascending, with its multiplicity; one basis per multiplicity
+        assert list(mult.items()) == sorted(Counter(prob.rep.weights).items())
+        assert list(kernels) == list(dict.fromkeys(mult.values()))
+        for e, jets in kernels.items():
             for jet in jets:
                 assert len(jet) == min(e, prob.x_bound() + 1)
                 assert len({k % q for k, v in enumerate(jet) if v}) == 1
+
+    @pytest.mark.parametrize("q,a,calls", [(5, 2, 3), (7, 8, 12)])
+    def test_each_system_is_solved_once(self, monkeypatch, q, a, calls):
+        # the multiplicities are 2 and 1 at (5, 2), with 2 + 1 residue classes,
+        # and 8 and 7 at (7, 8), with 6 + 6: the table, and the count and the
+        # basis that read it, solve each (multiplicity, residue class) once
+        seen = []
+        real = crt._local_system
+
+        def counting(problem, e, rho, *rest):
+            seen.append((e, rho))
+            return real(problem, e, rho, *rest)
+
+        monkeypatch.setattr(crt, "_local_system", counting)
+        prob = homspace._ma_problem(PrimeModulus(q), a)
+        for build in (crt._local_kernels, kernel_dim, hom_space):
+            seen.clear()
+            build(prob)
+            assert len(seen) == len(set(seen)) == calls, build
 
     # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
     # c^w_n is free after it; the identities n + s(p-1) that follow cut it
@@ -839,11 +863,12 @@ def _lift_dim(prob: HomProblem) -> int:
     x^(x_bound + 1) .. x^(d - 1) of the oracle's CRT lifts of the local solutions."""
     q = prob.p.p
     mult = Counter(prob.rep.weights)
+    kernels = crt._local_kernels(prob)[1]
     top = prob.x_bound()
     rows = [
         crt_lift(mult, w, jet + [0] * (e - len(jet)), q)[top + 1 :]
-        for w, e, jets in crt._local_kernels(prob)
-        for jet in jets
+        for w, e in mult.items()
+        for jet in kernels[e]
     ]
     return len(rows) - len(echelon(rows, prob.rep.dim - 1 - top, q))
 
