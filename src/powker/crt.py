@@ -1,34 +1,72 @@
-"""Local kernels at the weights, and the kernel dimension counted by CRT.
+"""The kernel of a `HomProblem` at the weights: the local kernels, the
+certified basis and the dimension count by CRT.
 
-`_local_kernels` builds the level's local table: each weight's
-multiplicity e_w, and per multiplicity e the local kernel K of the
-`homspace` module docstring, as jets on the Taylor coordinates c^w_k,
-k < E = min(e, x_bound + 1), solved once per residue class mod p - 1 by
-`_local_system`.  The count below and `hom_space` (its rows, its D0 bound
-and its weight check) read that one table.  No CLI command
-reaches a system's carried elimination or its certificate: on every
-level and flag step e_w <= a, so the one unknown freed, at n = a - 2, is
-the last of its residue class (the next identity, n + p - 1 >= a, is
-past e_w).  The library reaches both with other twists
-(`tests/test_homspace.py`).
+The problem, its map m -> (P(m) - h*m) mod f and the domain basis are
+stated in the `homspace` module docstring.  The divisor splits over F_p,
+f = prod_w (x - w t)^(e_w), and the problem carries the weights, each w
+with its multiplicity e_w; f is multiplied out only for output.  The
+factors are pairwise coprime, so f divides F = P(m) - h*m exactly when
+each (x - w t)^(e_w) does, and the map is never built as a matrix.
+Instead, at each weight:
 
-`kernel_dim` counts the dimension with no basis.  Put G(x) = f(1, x), of
-degree d, and c = d - 1 - x_bound.  Each m of degree < d is its jets J_w
-at the weights, and m / G is the sum of S_w(y) / y^e_w, y = x - w,
-S_w = J_w / G_w(w + y) mod y^e_w, G_w = G / (x - w)^e_w.  The kernel
-takes each J_w in K_w, and m / G vanishing to order c + 1 at infinity
-(the cut: c conditions on the top c coefficients of the S_w) keeps
-deg m <= x_bound.  S_w(y) / y^e_w is sum_i lam_i x^-(i+1), lam_i = sum_k
-C(i, k) w^(i-k) S_w[e_w - 1 - k]: a sum of the Taylor rows of
-`_taylor_rows`, which `homspace` maps the local annihilators back with.
-Each lift gives one cut row (lam_0, ..., lam_(c-1)), and dim = D0 -
-rank(cut), D0 the sum of dim K_w; on `ma_space` levels c = 1, and the
-cut reads S_w[e_w - 1].  Two known m check the count: the jets of m = 1
-(1 at every weight) and of m = x^p - x (y^p - y at every weight, since
-w^p = w) take the same steps as the local solutions, and each one's rows
-sum over the weights to the first c coefficients of m / G at infinity.
-Those are zero when deg m <= x_bound = d - 1 - c, so for m = 1 always
-(the first is the sum of the residues) and for x^p - x when p <=
+* Put y = x - w t.  Since w^p = w, P(y) = y + y^p, and P(t) = t (1 + tau)
+  with tau = t^(p-1).  Write m in the Taylor-shifted coordinates
+  c^w_k = sum_j C(j, k) w^(j-k) c_j, so m = sum_k c^w_k t^(delta-k) y^k
+  (c^0 = c, the coordinates on the domain basis).  Row k of
+  `_taylor_rows` holds c^w_k as a functional of the c_j.  The jet of m
+  at w is (c^w_0, c^w_1, ...); at t = 1, c^w_k = D^k m(w), the k-th Hasse
+  derivative.
+* y^(e_w) divides F exactly when, for every n < e_w, the coefficient of
+  y^n vanishes; divided by t^(delta-n) that is the identity in t
+
+      sum over s >= 0, k = n - s(p-1) with 0 <= k <= x_bound of
+          C(k, s) c^w_k tau^s (1 + tau)^(delta-k)  ==  c^w_n h(t)
+
+  (c^w_n = 0 for n > x_bound).  Each identity holds coefficient by
+  coefficient in t, and (1 + tau)^N is `steenrod.binomial_terms(N, p)`.
+* The identity for n involves only the c^w_k with k = n mod p - 1, so each
+  (w, residue class) system is solved on its own, by `_local_system`.  It
+  is triangular: identity n brings in one new unknown c^w_n (for n <=
+  x_bound), whose coefficient, the diagonal, is (1 + tau)^(delta-n) - h;
+  its other terms hold earlier unknowns only.  So the solver walks the
+  identities in order and tracks the kernel of those seen so far.  While
+  that is {0}, identity n only sets c^w_n = 0, unless its diagonal
+  vanishes and frees c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that
+  happens for at most one n per level, found by one comparison with h.
+  Once the kernel is not {0}, each identity cuts it by one elimination
+  with dim + 1 columns.  The result is the local kernel K_w, as jets on
+  c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).
+
+K_w depends on w only through e_w, so `_local_kernels` solves each
+multiplicity once, into the level's local table: each weight's e_w, and
+per multiplicity e a basis of K.  The basis and the count below read that
+one table.  No CLI command reaches a system's carried elimination or its
+certificate: on every level and flag step e_w <= a, so the one unknown
+freed, at n = a - 2, is the last of its residue class (the next
+identity, n + p - 1 >= a, is past e_w).  The library reaches both with
+other twists (`tests/test_homspace.py`).  For a < p every identity has
+only its s = 0 term, and delta - epsilon = a - 2 makes (1 + tau)^(delta-n)
+== h exactly at n = a - 2.  So the level space is {m : D^n m(1, x)
+vanishes at x = w for each weight w and each n < e_w with n != a - 2}: a
+Birkhoff interpolation problem.
+
+The count.  `kernel_dim` counts the dimension with no basis.  Put G(x) =
+f(1, x), of degree d, and c = d - 1 - x_bound.  Each m of degree < d is
+its jets J_w at the weights, and m / G is the sum of S_w(y) / y^e_w,
+y = x - w, S_w = J_w / G_w(w + y) mod y^e_w, G_w = G / (x - w)^e_w.  The
+kernel takes each J_w in K_w, and m / G vanishing to order c + 1 at
+infinity (the cut: c conditions on the top c coefficients of the S_w)
+keeps deg m <= x_bound.  So the kernel is the cut's kernel in the sum of
+the K_w, and D0 - c <= dim <= D0, D0 the sum of dim K_w.  S_w(y) / y^e_w
+is sum_i lam_i x^-(i+1), lam_i = sum_k C(i, k) w^(i-k) S_w[e_w - 1 - k]:
+a sum of Taylor rows again.  Each lift gives one cut row (lam_0, ...,
+lam_(c-1)), and dim = D0 - rank(cut); on `ma_space` levels c = 1, and
+the cut reads S_w[e_w - 1].  Two known m check the count: the jets of
+m = 1 (1 at every weight) and of m = x^p - x (y^p - y at every weight,
+since w^p = w) take the same steps as the local solutions, and each
+one's rows sum over the weights to the first c coefficients of m / G at
+infinity.  Those are zero when deg m <= x_bound = d - 1 - c, so for m = 1
+always (the first is the sum of the residues) and for x^p - x when p <=
 x_bound; a nonzero sum raises ConsistencyError.  m = 1 alone misses
 faults that leave its lift alone: 1 / (y^2 - 1)^2 is even in y.
 
@@ -41,10 +79,29 @@ weights at once, one packed sum per k (multipoint evaluation).  Of
 goes into each local solution once per level; 1 / T_w comes by
 recurrence on the deg G' - e_w + b + 1 terms of T_w.
 
-The problem itself, `HomProblem`, lives here too, with `_ma_problem`,
-the level-a problem at the half-flag divisor, and `_check_ma_dim`, the
-proven window of its dimension: the dimension count needs only this
-module, and `homspace` imports all three from it.
+The basis.  `_level_rows` reads each multiplicity's annihilator off one
+RREF of its jets by `nullspace_rows` (one unit row per unknown when K is
+{0}; any basis serves, since the level's RREF below is unique) and maps
+it back to the domain at each weight of that multiplicity through the
+Taylor rows: a unit row is a Taylor row itself, and there are at most E
+per weight.  `_level_basis` makes one elimination per level: the packed
+`rref` reduces the stacked rows, whose column j holds c_j, the lowest
+x-power first.  The RREF is unique and has the rows' kernel, so the
+result does not depend on how the rows were derived.  `nullspace_rows`
+of it gives, for each free column f, the vector with 1 at f, 0 at the
+other free columns and its other entries at pivot columns below f: f is
+its highest x-power.  Read in reverse, these vectors are the reduced
+echelon basis in the domain order, with no second elimination.  The
+basis is certified: dim + rank == ncols, every stacked row vanishes on
+every basis vector, and D0 - c <= dim <= D0.  The first two see the
+basis through the stacked rows, so a fourth does not: one combination m
+of the basis, every coefficient nonzero, has its jets evaluated at all
+the weights by `_hasse_values`, and at each weight they must satisfy
+the annihilator of K_w.
+
+`_ma_problem` is the level-a problem at the half-flag divisor, and
+`_check_ma_dim` the proven window of its dimension: the count needs
+only this module, and `homspace` imports both from it.
 """
 
 from __future__ import annotations
@@ -53,7 +110,7 @@ from collections import Counter, defaultdict
 from itertools import accumulate
 from operator import mul
 
-from ._pykernel import nullspace_rows, pack, rref, slot_width, unpack
+from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, _linear_product, f_of, filtration_rep
@@ -73,8 +130,8 @@ class HomProblem(Frozen):
             raise TypeError("the divisor is given by a Representation")
         if rep.modulus != p or h.modulus != p:
             raise ValueError("modulus mismatch")
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not isinstance(delta, int) or isinstance(delta, bool) or delta < 0:
+            raise ValueError(f"delta must be a non-negative integer, got {delta!r}")
         if h.x_degree() > 0:
             raise ValueError("h must be a polynomial in t alone")
         if not h.coefficient(0, 0):
@@ -164,7 +221,7 @@ def _local_kernels(problem: HomProblem) -> tuple[Counter, dict[int, list[list[in
 def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
     """A basis of the solutions of the identities n = rho, rho + q, ... < e
     (q = p - 1) on the unknowns c^w_k, k = rho + idx * q < E = min(e, x_bound
-    + 1), tracked through the triangular identities (see the `homspace` module
+    + 1), tracked through the triangular identities (see the module
     docstring); each step is certified, dim + rank == its width.  Each
     solution is returned as its jet of length E.
     """
@@ -318,3 +375,67 @@ def kernel_dim(problem: HomProblem) -> int:
     if p <= problem.x_bound() and any(unpack(xpx, c, row_width, p)):
         raise ConsistencyError("count certificate failed: the residues of (x^p - x) / G are not 0")
     return len(cut) - len(rref(cut, c, p))
+
+
+def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, dict[int, int], dict]:
+    """Rows over the domain basis, lowest x-power first (column j holds c_j),
+    whose common kernel is the kernel of the level map; D0, the sum of the
+    local kernels' dimensions over the weights; the local table's w -> e_w;
+    and e -> the annihilator of K as rows of (k, entry) terms on the c^w_k.
+
+    Each annihilator is read off the table once and mapped back through the
+    Taylor shift at each weight of its multiplicity: at most min(e_w,
+    x_bound + 1) rows per weight, so at most deg_x f rows in all.
+    """
+    p = problem.p.p
+    length = problem.x_bound() + 1
+    mult, kernels = _local_kernels(problem)
+    local = {}
+    for e, jets in kernels.items():
+        width = min(e, length)
+        annihilator = nullspace_rows(rref(jets, width, p), width, p)
+        local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
+    rows = []
+    for w, e in mult.items():
+        taylor = _taylor_rows(w, min(e, length), length, p)  # c^w_k in the c_j, k < min(e, length)
+        for terms in local[e]:
+            if len(terms) == 1:  # a unit row, c^w_k = 0
+                rows.append(taylor[terms[0][0]])
+            else:
+                coeffs = [v for _k, v in terms]
+                functionals = [taylor[k] for k, _v in terms]
+                rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
+    return rows, sum(len(kernels[e]) for e in mult.values()), mult, local
+
+
+def _level_basis(problem: HomProblem) -> list[list[int]]:
+    """The level's reduced echelon kernel basis in the domain order, each
+    vector on the columns c_0 .. c_x_bound (lowest x-power first): the free
+    columns of one `rref` of `_level_rows`, read in reverse, and certified
+    (see the module docstring).  A failed check raises ConsistencyError.
+    """
+    p = problem.p.p
+    ncols = problem.x_bound() + 1
+    rows, d0, mult, local = _level_rows(problem)
+    reduced = rref(rows, ncols, p)
+    # free columns descending: highest x-power first, the domain order
+    vectors = nullspace_rows(reduced, ncols, p)[::-1]
+    if len(vectors) + len(reduced) != ncols:
+        raise ConsistencyError(
+            f"kernel certificate failed: dim {len(vectors)} + rank {len(reduced)} != {ncols}"
+        )
+    if not annihilates(rows, vectors, ncols, p):
+        raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
+    # the kernel is the cut's kernel in the local kernels' sum (see `kernel_dim`)
+    if not d0 - (problem.rep.dim - ncols) <= len(vectors) <= d0:
+        raise ConsistencyError(f"kernel certificate failed: dim {len(vectors)} against D0 = {d0}")
+    # the Taylor coordinates c^w_k = D^k m(w) of m = sum_i (i mod (p - 1) + 1) basis_i,
+    # every coefficient nonzero, by multipoint evaluation, not through `_taylor_rows`
+    width = slot_width(len(vectors) * (p - 1) ** 2 + 1)
+    packed = sum((i % (p - 1) + 1) * pack(vec, width) for i, vec in enumerate(vectors))
+    combination = unpack(packed, ncols, width, p)
+    jets = zip(*_hasse_values(combination, list(mult), max(mult.values(), default=0), p))
+    for jet, (w, e) in zip(jets, mult.items()):
+        if any(sum(jet[k] * v for k, v in terms) % p for terms in local[e]):
+            raise ConsistencyError(f"kernel certificate failed: the basis leaves K_w at weight {w}")
+    return vectors

@@ -24,8 +24,10 @@ and are set once; equality (same class only), hash and the
 AttributeError; and a pickle restores the fields as stored, without
 validating them again.  Plain records (`Parameters`, `HomSpace`, the
 reports of `bounds`) take the fields by position or keyword, in
-`__slots__` order; the validated classes (`PrimeModulus`,
-`Representation`, `HomProblem`) define their own `__init__`.
+`__slots__` order; the validated classes (`PrimeModulus`, `BiPoly`,
+`Representation`, `HomProblem`) define their own `__init__`.  `BiPoly`
+also keeps its own hash, since its coefficient dict is unhashable, and
+its own repr.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return out
 
 
-class BiPoly:
+class BiPoly(Frozen):
     """A polynomial in F_p[t, x], immutable after construction."""
 
     __slots__ = ("modulus", "_coeffs")
@@ -174,15 +176,14 @@ class BiPoly:
                 c %= p
                 if c:
                     clean[(i, j)] = c
-        self.modulus = modulus
-        self._coeffs = clean
+        self._set(modulus, clean)
 
     @staticmethod
     def _raw(modulus: PrimeModulus, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
         """A BiPoly on coeffs as given: the arithmetic's results, already in [1, p)."""
         res = object.__new__(BiPoly)
-        res.modulus = modulus
-        res._coeffs = coeffs
+        object.__setattr__(res, "modulus", modulus)  # the two slots directly: no `_set` loop on the hot path
+        object.__setattr__(res, "_coeffs", coeffs)
         return res
 
     # -- constructors ------------------------------------------------
@@ -361,12 +362,7 @@ class BiPoly:
 
     # -- comparison and text -----------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.modulus == other.modulus and self._coeffs == other._coeffs
-
-    def __hash__(self):
+    def __hash__(self):  # the coefficient dict is unhashable
         return hash((self.modulus, frozenset(self._coeffs.items())))
 
     def text(self) -> str:

@@ -16,70 +16,13 @@ listed with the highest x-power first.  The kernel basis is returned in
 reduced echelon form with respect to that monomial order, so it is
 unique and deterministic.
 
-So the divisor splits over F_p, f = prod_w (x - w t)^(e_w), and the
-problem carries the weights, each w with its multiplicity e_w in V.
-f itself is multiplied out only for output.  The factors are pairwise
-coprime, so f divides F = P(m) - h*m exactly when each (x - w t)^(e_w)
-does, and the map is never built as a matrix.  Instead, at each weight:
-
-* Put y = x - w t.  Since w^p = w, P(y) = y + y^p, and P(t) = t (1 + tau)
-  with tau = t^(p-1).  Write m in the Taylor-shifted coordinates
-  c^w_k = sum_j C(j, k) w^(j-k) c_j, so m = sum_k c^w_k t^(delta-k) y^k
-  (c^0 = c, the coordinates on the domain basis).
-* y^(e_w) divides F exactly when, for every n < e_w, the coefficient of
-  y^n vanishes; divided by t^(delta-n) that is the identity in t
-
-      sum over s >= 0, k = n - s(p-1) with 0 <= k <= x_bound of
-          C(k, s) c^w_k tau^s (1 + tau)^(delta-k)  ==  c^w_n h(t)
-
-  (c^w_n = 0 for n > x_bound).  Each identity holds coefficient by
-  coefficient in t, and (1 + tau)^N is `steenrod.binomial_terms(N, p)`.
-* The identity for n involves only the c^w_k with k = n mod p - 1, so each
-  (w, residue class) system is solved on its own.  It is triangular:
-  identity n brings in one new unknown c^w_n (for n <= x_bound), whose
-  coefficient, the diagonal, is (1 + tau)^(delta-n) - h; its other terms
-  hold earlier unknowns only.  So the solver walks the identities in
-  order and tracks the kernel of those seen so far.  While that is {0},
-  identity n only sets c^w_n = 0, unless its diagonal vanishes and frees
-  c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that happens for at most
-  one n per level, found by one comparison with h.  Once the kernel is
-  not {0}, each identity cuts it by one elimination with dim + 1
-  columns.  The result is the local kernel K_w, as jets on c^w_0 ..
-  c^w_(E-1), E = min(e_w, x_bound + 1).  It depends on w only through
-  e_w, so `crt._local_kernels` solves each multiplicity once, into the
-  level's local table (`kernel_dim` counts the dimension from it by
-  CRT).  For `hom_space`, each multiplicity's annihilator, read off one
-  RREF of its jets by `nullspace_rows` (one unit row per unknown when K
-  is {0}; any basis serves, since the level's RREF below is unique), is
-  mapped back to the domain coordinates at each weight of that
-  multiplicity through the Taylor functionals c^w_k, k < E, the rows of
-  `crt._taylor_rows` (which `kernel_dim` reads its cut through too): a
-  unit row is a functional itself, and there are at most E per weight.
-
-For a < p every identity has only its s = 0 term, and delta - epsilon =
-a - 2 makes (1 + tau)^(delta-n) == h exactly at n = a - 2.  So the level
-space is {m : D^n m(1, x) vanishes at x = w for each weight w and each
-n < e_w with n != a - 2}, D^n the n-th Hasse derivative: a Birkhoff
-interpolation problem.
-
-`hom_space` makes one elimination per level: the packed `rref` in
-`powker._pykernel` reduces the stacked rows, whose column j holds c_j,
-the lowest x-power first.  The RREF is unique and has the rows' kernel,
-so the result does not depend on how the rows were derived.
-`nullspace_rows` of it gives, for each free column f, the vector with 1
-at f, 0 at the other free columns and its other entries at pivot columns
-below f: f is its highest x-power.  Read in reverse, these vectors are
-the reduced echelon basis in the domain order, with no second
-elimination.  The basis is certified, dim + rank == ncols and every
-stacked row vanishes on every basis vector, and it is all the space
-keeps.  Those two checks see the basis through the stacked rows, so a
-third does not: one combination m of the basis, every coefficient
-nonzero, has its Taylor coordinates c^w_k = D^k m(w) evaluated at all
-the weights by `crt._hasse_values`, and at each weight they must
-satisfy the annihilator of K_w from the same table.  Membership
-(`contains` and the shift checks) reduces m's coordinates by that basis:
-at most dim passes over a basis vector's terms, where evaluating
-equations would take ncols - dim dot products of length ncols.
+The basis is built from the local kernels at the weights and certified
+by `crt._level_basis`; the `crt` module docstring derives both, beside
+the dimension count.  `hom_space` turns its vectors into polynomials.
+Membership (`contains` and the shift checks) reduces m's coordinates by
+that basis: at most dim passes over a basis vector's terms, where
+evaluating equations would take ncols - dim dot products of length
+ncols.
 
 The level-a kernel space ma_space(p, a) uses the half-flag divisor
 
@@ -106,18 +49,9 @@ the three identities, and the shift walk, which holds levels a and a + 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
-from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
-from .crt import (
-    HomProblem,
-    _check_ma_dim,
-    _hasse_values,
-    _local_kernels,
-    _ma_problem,
-    _taylor_rows,
-    kernel_dim,
-)
+from ._pykernel import rref
+from .crt import HomProblem, _check_ma_dim, _level_basis, _ma_problem, kernel_dim
 from .errors import ConsistencyError
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import r_poly
@@ -184,75 +118,20 @@ class FpMatrix:
         return len(rref(self._rows, self.ncols, self.modulus.p))
 
 
-def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, dict[int, int], dict]:
-    """Rows over the domain basis, lowest x-power first (column j holds c_j),
-    whose common kernel is the kernel of the level map; D0, the sum of the
-    local kernels' dimensions over the weights; the local table's w -> e_w;
-    and e -> the annihilator of K as rows of (k, entry) terms on the c^w_k.
-
-    Each annihilator is read off the table once and mapped back through the
-    Taylor shift at each weight of its multiplicity: at most min(e_w,
-    x_bound + 1) rows per weight, so at most deg_x f rows in all.
-    """
-    p = problem.p.p
-    length = problem.x_bound() + 1
-    mult, kernels = _local_kernels(problem)
-    local = {}
-    for e, jets in kernels.items():
-        width = min(e, length)
-        annihilator = nullspace_rows(rref(jets, width, p), width, p)
-        local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
-    rows = []
-    for w, e in mult.items():
-        taylor = _taylor_rows(w, min(e, length), length, p)  # c^w_k in the c_j, k < min(e, length)
-        for terms in local[e]:
-            if len(terms) == 1:  # a unit row, c^w_k = 0
-                rows.append(taylor[terms[0][0]])
-            else:
-                coeffs = [v for _k, v in terms]
-                functionals = [taylor[k] for k, _v in terms]
-                rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
-    return rows, sum(len(kernels[e]) for e in mult.values()), mult, local
-
-
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis.
 
     One `rref` of the stacked local rows, lowest x-power first; the basis
-    is its `nullspace_rows` in reverse order (see the module docstring).
+    is its `nullspace_rows` in reverse order (see the `crt` module docstring).
     The result is certified: the dimension and the rank add up to the
     number of columns, every row of the local systems, mapped back to the
     domain, vanishes on every basis vector, D0 - c <= dim <= D0, and one
     combination of the basis has its Taylor coordinates at each weight,
     evaluated apart from the mapped rows, in the local kernel.
     """
-    p = problem.p.p
-    delta = problem.delta
-    ncols = problem.x_bound() + 1
-    rows, d0, mult, local = _level_rows(problem)
-    reduced = rref(rows, ncols, p)
-    # free columns descending: highest x-power first, the domain order
-    vectors = nullspace_rows(reduced, ncols, p)[::-1]
-    if len(vectors) + len(reduced) != ncols:
-        raise ConsistencyError(
-            f"kernel certificate failed: dim {len(vectors)} + rank {len(reduced)} != {ncols}"
-        )
-    if not annihilates(rows, vectors, ncols, p):
-        raise ConsistencyError("kernel certificate failed: the operator does not vanish on the basis")
-    # the kernel is the cut's kernel in the local kernels' sum (see `kernel_dim`)
-    if not d0 - (problem.rep.dim - ncols) <= len(vectors) <= d0:
-        raise ConsistencyError(f"kernel certificate failed: dim {len(vectors)} against D0 = {d0}")
-    # the Taylor coordinates c^w_k = D^k m(w) of m = sum_i (i mod (p - 1) + 1) basis_i,
-    # every coefficient nonzero, by multipoint evaluation, not through `_taylor_rows`
-    width = slot_width(len(vectors) * (p - 1) ** 2 + 1)
-    packed = sum((i % (p - 1) + 1) * pack(vec, width) for i, vec in enumerate(vectors))
-    combination = unpack(packed, ncols, width, p)
-    jets = zip(*_hasse_values(combination, list(mult), max(mult.values(), default=0), p))
-    for jet, (w, e) in zip(jets, mult.items()):
-        if any(sum(jet[k] * v for k, v in terms) % p for terms in local[e]):
-            raise ConsistencyError(f"kernel certificate failed: the basis leaves K_w at weight {w}")
-    basis = (BiPoly(problem.p, {(delta - j, j): v for j, v in enumerate(vec) if v}) for vec in vectors)
-    return HomSpace(problem, tuple(basis))
+    delta = problem.delta  # column j of a vector holds the coefficient of t^(delta - j) x^j
+    terms = ({(delta - j, j): v for j, v in enumerate(vec) if v} for vec in _level_basis(problem))
+    return HomSpace(problem, tuple(BiPoly(problem.p, coeffs) for coeffs in terms))
 
 
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:

@@ -82,7 +82,7 @@ class TestVerify:
     def test_each_level_built_once(self, capsys, monkeypatch):
         levels = []
         builds = []
-        real_filtration_rep, real_level_rows = crt.filtration_rep, homspace._level_rows
+        real_filtration_rep, real_level_rows = crt.filtration_rep, crt._level_rows
 
         def counting_filtration_rep(p, a, k):
             rep = real_filtration_rep(p, a, k)
@@ -94,7 +94,7 @@ class TestVerify:
             return real_level_rows(problem)
 
         monkeypatch.setattr(crt, "filtration_rep", counting_filtration_rep)
-        monkeypatch.setattr(homspace, "_level_rows", counting_level_rows)
+        monkeypatch.setattr(crt, "_level_rows", counting_level_rows)
         code, _out, _ = run_cli(capsys, "verify", "--p", "5", "--suite", "all")
         assert code == 0
         # the level-a divisor has (a - 1) * p + (p + 1) / 2 weights

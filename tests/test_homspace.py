@@ -63,6 +63,13 @@ class TestHomProblem:
         with pytest.raises(TypeError):
             HomProblem(P3, r_poly(P3), 3, h)  # the divisor is its weights, not f
 
+    @pytest.mark.parametrize("delta", [2.5, 2.0, True, "3"])
+    def test_delta_must_be_an_integer(self, delta):
+        # a float or bool delta used to be accepted, and the count and the
+        # basis then read 0, the float 2.0 or a TypeError
+        with pytest.raises(ValueError, match="delta must be a non-negative integer"):
+            HomProblem(P5, Representation(P5, (0, 1, 2)), delta, h_poly(P5, 2))
+
     @pytest.mark.parametrize("q", [1000003, 2**61 - 1])
     def test_weights_at_large_primes(self, q):
         # weights near p and residues of more than one byte, in the Taylor
@@ -528,7 +535,7 @@ class TestKernelCertificate:
         """Pass the output of `hom_space`'s domain-width calls of `name` through
         `change`; return the list of those outputs, unchanged.  The local
         systems' calls, which have fewer columns than the domain, are left alone."""
-        real = getattr(homspace, name)
+        real = getattr(crt, name)
         seen = []
 
         def wrapped(rows, ncols, p):
@@ -538,7 +545,7 @@ class TestKernelCertificate:
             seen.append(out)
             return change(out)
 
-        monkeypatch.setattr(homspace, name, wrapped)
+        monkeypatch.setattr(crt, name, wrapped)
         return seen
 
     def test_dropped_equation_is_caught(self, monkeypatch):
@@ -563,8 +570,8 @@ class TestKernelCertificate:
         # dimension, the mapped rows vanish on the wrong basis, and only the
         # Taylor coordinates of the basis, evaluated without `_taylor_rows`,
         # leave a local kernel
-        real = homspace._taylor_rows
-        monkeypatch.setattr(homspace, "_taylor_rows", lambda *args: [row[::-1] for row in real(*args)])
+        real = crt._taylor_rows
+        monkeypatch.setattr(crt, "_taylor_rows", lambda *args: [row[::-1] for row in real(*args)])
         with pytest.raises(ConsistencyError, match="the basis leaves K_w at weight 0"):
             hom_space(homspace._ma_problem(PrimeModulus(q), a))
 
@@ -647,8 +654,8 @@ class TestCount:
         # with no rows (D0 kept) the whole 7-column domain passes the
         # elimination's own checks, but the level kernel lies in a sum of
         # local kernels of dim 5
-        real = homspace._level_rows
-        monkeypatch.setattr(homspace, "_level_rows", lambda problem: ([], *real(problem)[1:]))
+        real = crt._level_rows
+        monkeypatch.setattr(crt, "_level_rows", lambda problem: ([], *real(problem)[1:]))
         with pytest.raises(ConsistencyError, match="dim 7 against D0 = 5"):
             hom_space(homspace._ma_problem(P5, 2))
 
@@ -748,7 +755,7 @@ class TestOperatorProperties:
         assert space.dim == kernel_nullity(q, _as_dict(prob.f), prob.delta, _as_dict(prob.h))
         # the D0 that `hom_space` certifies against is the local table's sum
         mult, kernels = crt._local_kernels(prob)
-        assert homspace._level_rows(prob)[1] == sum(len(kernels[e]) for e in mult.values())
+        assert crt._level_rows(prob)[1] == sum(len(kernels[e]) for e in mult.values())
 
         for b in space.basis:
             assert contains(space, b) and _divides(prob, b)

@@ -2,8 +2,8 @@
 
 For each class: equal values compare and hash equal, a different field
 value compares unequal, the repr has the `Name(field=value, ...)` form,
-assigning a field raises AttributeError, and a pickle round trip gives
-an equal object.  A plain record takes its fields by position or
+assigning or deleting a field raises AttributeError, and a pickle round
+trip gives an equal object.  A plain record takes its fields by position or
 keyword, refuses a missing, extra or unknown one, and is not equal to
 the tuple of its fields.
 """
@@ -31,6 +31,7 @@ def _report(a: int = 2) -> RankReport:
 
 # name -> (make(variant), a field to assign, the repr of make(0))
 CASES = {
+    "BiPoly": (lambda v: BiPoly(P3, {(1, 0): 1 + v}), "modulus", "BiPoly(p=3, 't')"),
     "PrimeModulus": (lambda v: PrimeModulus((3, 5)[v]), "p", "PrimeModulus(p=3)"),
     "Parameters": (
         lambda v: parameters(P3, 2 + v),
@@ -109,6 +110,13 @@ class TestValueSemantics:
         with pytest.raises(AttributeError):
             setattr(obj, field, make(1))
         assert getattr(obj, field) == before
+
+    def test_fields_cannot_be_deleted(self, name):
+        make, field, _text = CASES[name]
+        obj = make(0)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert obj == make(0)
 
     def test_pickle_round_trip(self, name):
         obj = CASES[name][0](0)
