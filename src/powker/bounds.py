@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from ._version import __version__
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _integer
 from .ffpoly import Frozen, PrimeModulus, _is_prime
 from .crt import HomProblem, _check_ma_dim, _ma_problem, kernel_dim
 from .reps import filtration_rep
@@ -141,8 +141,7 @@ def pre_filtration_dims(p: PrimeModulus, a: int) -> tuple[int, ...]:
     the expected staircase is (0, 1, ..., p).  Requires a >= 3 so that
     V(a-2) still contains a regular summand.
     """
-    if a < 3:
-        raise ValueError(f"a must be at least 3, got {a}")
+    _integer("a", a, 3)
     return tuple(dim for _k, _dv, dim in _flag_walk(p, a, a - 2))
 
 
@@ -178,8 +177,7 @@ def sweep(max_pa: int) -> SweepReport:
     """Rank reports for every pair (p odd prime, a >= 2) with p*a <= max_pa,
     in this process, ordered by p ascending then a ascending.
     """
-    if max_pa < 6:
-        raise ValueError(f"max_pa must be at least 6, got {max_pa}")
+    _integer("max_pa", max_pa, 6)
     rows = []
     for q, a in _sweep_pairs(max_pa):
         start = time.perf_counter()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _integer
 
 SUITES = ("family", "qr", "klemma", "subst", "shift", "all")
 MAX_COLUMNS = 2000
@@ -43,8 +43,7 @@ def _check_level(p: int, a: int) -> None:
     """Refuse a < 2, and level a at p if its domain, delta + 1 = p a - (p + 1)/2
     columns (delta = d - 2, d = (a-1)p + (p+1)/2), is wider than MAX_COLUMNS.
     The steps of the filtration walk at level a are no wider."""
-    if a < 2:
-        raise ValueError(f"a must be an integer >= 2, got {a}")
+    _integer("a", a, 2)
     ncols = p * a - (p + 1) // 2
     if ncols > MAX_COLUMNS:
         raise ValueError(
@@ -198,14 +197,12 @@ def _cmd_filtration(args) -> tuple[str, int]:
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.max_pa > MAX_SWEEP_PA:
         raise ValueError(f"sweep to max_pa {args.max_pa} is over the limit of {MAX_SWEEP_PA}")
-    if args.max_pa < 6:
-        raise ValueError(f"max_pa must be at least 6, got {args.max_pa}")
+    _integer("max_pa", args.max_pa, 6)
     # the widest level has p = 3 or 5: for p >= 7, p*a - (p+1)/2 <= max_pa - 4
     for q in (3, 5):
         if args.max_pa >= 2 * q:  # p = q has a level a >= 2
             _check_level(q, args.max_pa // q)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    _integer("--jobs", args.jobs, 1)
     from .bounds import sweep
     report = sweep(args.max_pa)
     if args.format == "json":

@@ -111,7 +111,7 @@ from itertools import accumulate
 from operator import mul
 
 from ._pykernel import annihilates, nullspace_rows, pack, rref, slot_width, unpack
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _integer
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import Representation, _linear_product, f_of, filtration_rep
 from .steenrod import binomial_terms, h_poly, parameters
@@ -130,13 +130,11 @@ class HomProblem(Frozen):
             raise TypeError("the divisor is given by a Representation")
         if rep.modulus != p or h.modulus != p:
             raise ValueError("modulus mismatch")
-        if not isinstance(delta, int) or isinstance(delta, bool) or delta < 0:
-            raise ValueError(f"delta must be a non-negative integer, got {delta!r}")
         if h.x_degree() > 0:
             raise ValueError("h must be a polynomial in t alone")
         if not h.coefficient(0, 0):
             raise ValueError("h must have nonzero constant term")
-        self._set(p, rep, delta, h)
+        self._set(p, rep, _integer("delta", delta, 0), h)
 
     @property
     def f(self) -> BiPoly:

@@ -19,22 +19,25 @@ and remainder are exact and unique with deg_x(remainder) < deg_x(divisor).
 
 Scalars of F_p are plain ints, canonical in [0, p).  The package's
 value classes derive from `Frozen`: their fields live in `__slots__`
-and are set once; equality (same class only), hash and the
-`Name(field=value, ...)` repr use every field; assignment raises
-AttributeError; and a pickle restores the fields as stored, without
-validating them again.  Plain records (`Parameters`, `HomSpace`, the
-reports of `bounds`) take the fields by position or keyword, in
-`__slots__` order; the validated classes (`PrimeModulus`, `BiPoly`,
-`Representation`, `HomProblem`) define their own `__init__`.  `BiPoly`
-also keeps its own hash, since its coefficient dict is unhashable, and
-its own repr.
+and are set once, by `Frozen._set` alone; equality (same class only),
+hash and the `Name(field=value, ...)` repr use every field; assignment
+raises AttributeError; and a pickle restores the fields as stored,
+without validating them again.  Plain records (`Parameters`,
+`HomSpace`, the reports of `bounds`) take the fields by position or
+keyword, in `__slots__` order; the validated classes (`PrimeModulus`,
+`BiPoly`, `Representation`, `HomProblem`) check their input in their
+own `__init__`, a `BiPoly` int exponents >= 0 and int coefficients.
+`BiPoly` keeps its own hash and repr: its coefficient dict is unhashable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
+
+from .errors import _integer
 
 __all__ = [
     "Frozen",
@@ -76,6 +79,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None, typed=True)
+def _prime(p: int) -> int:
+    """p if it is a prime below PRIME_LIMIT, else ValueError; typed, so 3.0 never hits the entry of 3."""
+    if not _is_prime(_integer("p", p, 2)):
+        raise ValueError(f"p must be a prime, got {p}")
+    return p
+
+
 class Frozen:
     """Base of the immutable value classes (see the module docstring)."""
 
@@ -83,6 +94,7 @@ class Frozen:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         """Set every field, by position or keyword in `__slots__` order."""
@@ -92,9 +104,10 @@ class Frozen:
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
         self._set(*map(values.__getitem__, names))
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def _set(self, *values) -> "Frozen":
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,11 +140,7 @@ class PrimeModulus(Frozen):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError("p must be an integer")
-        if p < 3 or not _is_prime(p):
-            raise ValueError(f"p must be an odd prime >= 3, got {p}")
-        self._set(p)
+        self._set(_prime(_integer("p", p, 3)))
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +155,8 @@ def _binom_digit(n: int, k: int, p: int) -> int:
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) mod p via base-p digits (Lucas)."""
+    """Binomial coefficient C(n, k) mod p by Lucas' theorem; ValueError unless p is prime."""
+    _prime(p)
     if k < 0 or k > n:
         return 0
     out = 1
@@ -166,25 +176,17 @@ class BiPoly(Frozen):
     __slots__ = ("modulus", "_coeffs")
 
     def __init__(self, modulus: PrimeModulus, coeffs: Mapping[tuple[int, int], int] | None = None):
-        p = modulus.p
-        clean: dict[tuple[int, int], int] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                i, j = key
-                if i < 0 or j < 0:
-                    raise ValueError("exponents must be non-negative")
-                c %= p
-                if c:
-                    clean[(i, j)] = c
-        self._set(modulus, clean)
+        coeffs = coeffs or {}
+        if not set(map(type, chain(*coeffs, coeffs.values()))) <= {int}:
+            raise ValueError("exponents and coefficients must be integers")
+        if min(chain(*coeffs), default=0) < 0:
+            raise ValueError("exponents must be non-negative")
+        self._set(modulus, {(i, j): r for (i, j), c in coeffs.items() if (r := c % modulus.p)})
 
     @staticmethod
     def _raw(modulus: PrimeModulus, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
         """A BiPoly on coeffs as given: the arithmetic's results, already in [1, p)."""
-        res = object.__new__(BiPoly)
-        object.__setattr__(res, "modulus", modulus)  # the two slots directly: no `_set` loop on the hot path
-        object.__setattr__(res, "_coeffs", coeffs)
-        return res
+        return object.__new__(BiPoly)._set(modulus, coeffs)
 
     # -- constructors ------------------------------------------------
 
@@ -305,8 +307,7 @@ class BiPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _integer("exponent", e, 0)
         result = BiPoly.one(self.modulus)
         base = self
         while e:

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 from ._pykernel import rref
 from .crt import HomProblem, _check_ma_dim, _level_basis, _ma_problem, kernel_dim
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _integer
 from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
 from .reps import r_poly
 from .steenrod import one_plus_tau
@@ -129,9 +129,9 @@ def hom_space(problem: HomProblem) -> HomSpace:
     combination of the basis has its Taylor coordinates at each weight,
     evaluated apart from the mapped rows, in the local kernel.
     """
-    delta = problem.delta  # column j of a vector holds the coefficient of t^(delta - j) x^j
+    delta = problem.delta  # column j of a vector holds t^(delta - j) x^j's coefficient, in [0, p)
     terms = ({(delta - j, j): v for j, v in enumerate(vec) if v} for vec in _level_basis(problem))
-    return HomSpace(problem, tuple(BiPoly(problem.p, coeffs) for coeffs in terms))
+    return HomSpace(problem, tuple(BiPoly._raw(problem.p, coeffs) for coeffs in terms))
 
 
 def ma_space(p: PrimeModulus, a: int) -> HomSpace:
@@ -158,8 +158,7 @@ def family_element(p: PrimeModulus, k: int) -> BiPoly:
     """
     pp = p.p
     half = (pp - 1) // 2
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= half:
-        raise ValueError(f"k must satisfy 0 <= k <= (p-1)/2, got {k}")
+    _integer("k", k, 0, half)
     lead = BiPoly.monomial(p, half - k, k)
     inner = BiPoly(p, {(0, pp - 1): k, (pp - 1, 0): 1 - k})
     return lead * inner
@@ -190,10 +189,8 @@ def mul_r_shift(p: PrimeModulus, a: int, b: int, m: BiPoly) -> BiPoly:
     """Map a level-a kernel element to level b >= a via m * r^(b-a).
 
     Builds levels a and b (one level when b == a) to check m and its image."""
-    if not 2 <= a <= p.p - 1:
-        raise ValueError(f"a must satisfy 2 <= a <= p-1, got {a}")
-    if b < a:
-        raise ValueError(f"b must be at least a, got {b} < {a}")
+    _integer("a", a, 2, p.p - 1)
+    _integer("b", b, a)
     lower = ma_space(p, a)
     if not contains(lower, m):
         raise ValueError("m is not in the level-a kernel space")
@@ -214,8 +211,7 @@ def div_r_shift(p: PrimeModulus, a: int, m: BiPoly) -> BiPoly:
     """Map a level-a kernel element (a >= 3) down to level a-1 via m / r.
 
     Builds levels a and a - 1 to check m and its quotient."""
-    if not 3 <= a <= p.p:
-        raise ValueError(f"a must satisfy 3 <= a <= p, got {a}")
+    _integer("a", a, 3, p.p)
     if not contains(ma_space(p, a), m):
         raise ValueError("m is not in the level-a kernel space")
     return _over_r(ma_space(p, a - 1), a, m)

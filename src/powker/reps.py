@@ -12,6 +12,9 @@ encoding; f(V) is multiplied out only for output.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
+from .errors import _integer
 from .ffpoly import BiPoly, Frozen, PrimeModulus
 
 __all__ = [
@@ -27,15 +30,15 @@ class Representation(Frozen):
 
     __slots__ = ("modulus", "weights")
 
-    def __init__(self, modulus: PrimeModulus, weights: tuple[int, ...]):
-        types = set(map(type, weights))
-        if bool in types or not all(issubclass(t, int) for t in types):
+    def __init__(self, modulus: PrimeModulus, weights: Iterable[int]):
+        weights = tuple(weights)  # read once: an iterator is used up by the check
+        if not set(map(type, weights)) <= {int}:
             raise ValueError("weights must be integers")
         self._set(modulus, tuple(sorted(map(modulus.p.__rmod__, weights))))
 
     @classmethod
     def regular(cls, modulus: PrimeModulus) -> "Representation":
-        return cls(modulus, tuple(range(modulus.p)))
+        return cls(modulus, range(modulus.p))
 
     @property
     def dim(self) -> int:
@@ -53,7 +56,7 @@ class Representation(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
-        return cls(PrimeModulus(data["p"]), tuple(data["weights"]))
+        return cls(PrimeModulus(data["p"]), data["weights"])
 
 
 def _linear_product(weights, p: int) -> list[int]:
@@ -80,9 +83,6 @@ def r_poly(p: PrimeModulus) -> BiPoly:
 
 def filtration_rep(p: PrimeModulus, a: int, k: int) -> Representation:
     """a - 1 copies of the regular representation plus weights 0 .. k-1."""
-    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-        raise ValueError(f"a must be an integer >= 2, got {a}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= p.p:
-        raise ValueError(f"k must satisfy 0 <= k <= p, got {k}")
-    weights = tuple(range(p.p)) * (a - 1) + tuple(range(k))
-    return Representation(p, weights)
+    _integer("a", a, 2)
+    _integer("k", k, 0, p.p)
+    return Representation(p, tuple(range(p.p)) * (a - 1) + tuple(range(k)))

@@ -26,7 +26,8 @@ so that delta - epsilon = a - 2.
 
 from __future__ import annotations
 
-from .ffpoly import BiPoly, Frozen, PrimeModulus, binom_mod
+from .errors import _integer
+from .ffpoly import BiPoly, Frozen, PrimeModulus, _prime, binom_mod
 
 __all__ = [
     "binomial_terms",
@@ -39,11 +40,13 @@ __all__ = [
 
 
 def binomial_terms(n: int, p: int) -> list[tuple[int, int]]:
-    """The terms (i, C(n, i) mod p) of (1 + X)^n, all nonzero, not in ascending order.
+    """The nonzero terms (i, C(n, i) mod p) of (1 + X)^n for n >= 0 and a prime p, in no set order.
 
     By Lucas' theorem (1 + X)^n is the product over the base-p digits
     n_l of n of (1 + X^(p^l))^(n_l), and no C(n_l, i_l) vanishes mod p.
     """
+    _integer("n", n, 0)
+    _prime(p)
     terms = [(0, 1)]
     place = 1
     while n:
@@ -83,8 +86,7 @@ class Parameters(Frozen):
 
 
 def parameters(p: PrimeModulus, a: int) -> Parameters:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-        raise ValueError(f"a must be an integer >= 2, got {a}")
+    _integer("a", a, 2)
     pp = p.p
     epsilon = (2 * a - 1) * (pp - 1) // 2
     delta = pp * a - (pp + 3) // 2

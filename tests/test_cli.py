@@ -223,7 +223,7 @@ class TestSweep:
     def test_jobs_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--max-pa", "12", "--jobs", "0")
         assert (code, out) == (2, "")
-        assert "--jobs must be at least 1" in err
+        assert err == "error: --jobs must be an integer >= 1, got 0\n"
 
 
 class TestErrorPaths:
@@ -363,7 +363,7 @@ class TestSizeLimits:
         [
             (["ma", "--p", "3", "--a", "1"], "a must be an integer >= 2, got 1"),
             (["filtration", "--p", "3", "--a", "1"], "a must be an integer >= 2, got 1"),
-            (["sweep", "--max-pa", "5"], "max_pa must be at least 6, got 5"),
+            (["sweep", "--max-pa", "5"], "max_pa must be an integer >= 6, got 5"),
         ],
     )
     def test_below_the_range_exits_2(self, capsys, argv, message):

@@ -37,6 +37,14 @@ class TestRepresentation:
         v = Representation(P5, (1, 1, 4))
         assert Representation.from_json(v.to_json()) == v
 
+    @pytest.mark.parametrize("make", [lambda ws: (w for w in ws), iter, list])
+    def test_weights_from_any_iterable(self, make):
+        # the weights are read once: a generator or iterator used to be used
+        # up by the type check and give weights=()
+        assert Representation(P5, make([3, 0, 1])).weights == (0, 1, 3)
+        with pytest.raises(ValueError, match="integers"):
+            Representation(P5, make([0, 1.5]))
+
     @pytest.mark.parametrize("weights", [(1.5, 2), (True,), (2.0,), ("2",)])
     def test_weights_must_be_integers(self, weights):
         with pytest.raises(ValueError, match="integers"):

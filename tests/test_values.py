@@ -6,17 +6,24 @@ assigning or deleting a field raises AttributeError, and a pickle round
 trip gives an equal object.  A plain record takes its fields by position or
 keyword, refuses a missing, extra or unknown one, and is not equal to
 the tuple of its fields.
+
+Every public integer argument refuses a bool, a float, a string and a
+value out of its range with a ValueError that names the argument.
 """
 
 import pickle
+import re
 
 import pytest
 
-from powker.bounds import FiltrationRow, FiltrationTable, RankReport, SweepReport, SweepRow, rank_report
-from powker.ffpoly import BiPoly, PrimeModulus
-from powker.homspace import HomProblem, hom_space
-from powker.reps import Representation
-from powker.steenrod import parameters
+from powker import cli
+from powker.bounds import (
+    FiltrationRow, FiltrationTable, RankReport, SweepReport, SweepRow, pre_filtration_dims, rank_report, sweep,
+)
+from powker.ffpoly import BiPoly, PrimeModulus, binom_mod
+from powker.homspace import HomProblem, div_r_shift, family_element, hom_space, mul_r_shift
+from powker.reps import Representation, filtration_rep
+from powker.steenrod import binomial_terms, parameters
 
 P3 = PrimeModulus(3)
 
@@ -162,3 +169,43 @@ class TestRecords:
         values = _fields(obj)
         assert obj != values and values != obj
         assert not obj == values and len({obj, values}) == 2
+
+
+P5 = PrimeModulus(5)
+ZERO = BiPoly.zero(P5)
+
+# (argument, call with the value, values out of range); the call is valid at
+# an in-range integer, and every value below is refused before any work starts
+INTEGER_ARGUMENTS = {
+    "PrimeModulus": ("p", PrimeModulus, (1, 2, 4)),
+    "binom_mod": ("p", lambda v: binom_mod(5, 2, v), (1, 4, 9)),  # p = 1 looped forever
+    "binomial_terms.n": ("n", lambda v: binomial_terms(v, 5), (-1,)),  # n = -1 looped forever
+    "binomial_terms.p": ("p", lambda v: binomial_terms(3, v), (1, 4)),
+    "BiPoly.t_exponent": ("exponent", lambda v: BiPoly(P5, {(v, 0): 1}), (-1,)),
+    "BiPoly.x_exponent": ("exponent", lambda v: BiPoly(P5, {(1, 1): 1, (0, v): 1}), (-1,)),
+    "BiPoly.coefficient": ("coefficient", lambda v: BiPoly(P5, {(0, 0): 1, (1, 0): v}), ()),
+    "BiPoly.__pow__": ("exponent", lambda v: BiPoly.x(P5) ** v, (-1,)),
+    "parameters": ("a", lambda v: parameters(P5, v), (1,)),
+    "filtration_rep.a": ("a", lambda v: filtration_rep(P5, v, 0), (1,)),
+    "filtration_rep.k": ("k", lambda v: filtration_rep(P5, 2, v), (-1, 6)),
+    "HomProblem": ("delta", lambda v: HomProblem(P5, Representation(P5, (0, 1)), v, BiPoly.one(P5)), (-1,)),
+    "family_element": ("k", lambda v: family_element(P5, v), (-1, 3)),
+    "mul_r_shift.a": ("a", lambda v: mul_r_shift(P5, v, 4, ZERO), (1, 5)),
+    "mul_r_shift.b": ("b", lambda v: mul_r_shift(P5, 3, v, ZERO), (2,)),
+    "div_r_shift": ("a", lambda v: div_r_shift(P5, v, ZERO), (2, 6)),
+    "pre_filtration_dims": ("a", lambda v: pre_filtration_dims(P5, v), (2,)),
+    "sweep": ("max_pa", sweep, (5,)),
+    "cli._check_level": ("a", lambda v: cli._check_level(5, v), (1,)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [(entry, value) for entry, (_name, _call, out) in INTEGER_ARGUMENTS.items()
+     for value in (True, 2.0, "3") + out],
+    ids=lambda x: x if isinstance(x, str) and x in INTEGER_ARGUMENTS else repr(x),
+)
+def test_integer_arguments_are_checked(entry, value):
+    name, call, _out = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=rf"\b{re.escape(name)}s?\b.*must be"):
+        call(value)
