@@ -24,31 +24,38 @@ Instead, at each weight:
 
   (c^w_n = 0 for n > x_bound).  Each identity holds coefficient by
   coefficient in t, and (1 + tau)^N is `steenrod.binomial_terms(N, p)`.
-* The identity for n involves only the c^w_k with k = n mod p - 1, so each
-  (w, residue class) system is solved on its own, by `_local_system`.  It
-  is triangular: identity n brings in one new unknown c^w_n (for n <=
-  x_bound), whose coefficient, the diagonal, is (1 + tau)^(delta-n) - h;
-  its other terms hold earlier unknowns only.  So the solver walks the
-  identities in order and tracks the kernel of those seen so far.  While
-  that is {0}, identity n only sets c^w_n = 0, unless its diagonal
-  vanishes and frees c^w_n.  (1 + tau)^N has t-degree (p-1) N, so that
-  happens for at most one n per level, found by one comparison with h.
-  Once the kernel is not {0}, each identity cuts it by one elimination
-  with dim + 1 columns.  The result is the local kernel K_w, as jets on
-  c^w_0 .. c^w_(E-1), E = min(e_w, x_bound + 1).
+* The identity for n involves only the c^w_k with k = n mod p - 1 and
+  k <= n.  Its one new unknown is c^w_n (for n <= x_bound), whose
+  coefficient, the diagonal, is (1 + tau)^(delta-n) - h.  (1 + tau)^N has
+  t-degree (p-1) N, so the diagonal vanishes for at most one n, n0,
+  found by one comparison with h (`_vanishing_identity`).
+* The local kernel K_w, as jets on c^w_0 .. c^w_(E-1), E = min(e_w,
+  x_bound + 1), is then known in closed form.  Every unknown below n0,
+  and every unknown outside n0's residue class (every unknown, if there
+  is no n0), is pinned to 0 by its nonzero diagonal.  Identity n0 frees
+  c^w_n0.  In n0's class, with the unknowns between 0 by induction,
+  identity n = n0 + s(p-1) reads
 
-K_w depends on w only through e_w, so `_local_kernels` solves each
+      C(n0, s) c^w_n0 tau^s h + B_n c^w_n  ==  0,
+
+  h = (1 + tau)^(delta-n0), B_n = (1 + tau)^(delta-n) - h (no B_n term
+  past x_bound).  The first term has tau-degree delta - n0 + s, and B_n
+  has tau-degree delta - n0.  So if C(n0, s) is nonzero mod p, then
+  c^w_n0 = 0; otherwise c^w_n = 0.  Hence K_w is the line of the unit
+  jet at n0 when n0 < e_w and C(n0, s) = 0 mod p for 1 <= s <= (e_w - 1
+  - n0) / (p - 1), and {0} otherwise.  By Lucas' theorem the least s >= 1
+  with C(n0, s) nonzero is p^v, v = v_p(n0), so the line is free exactly
+  when n0 < e_w and either n0 = 0 or e_w <= n0 + (p - 1) p^v.
+
+K_w depends on w only through e_w, so `_local_kernels` decides each
 multiplicity once, into the level's local table: each weight's e_w, and
-per multiplicity e a basis of K.  The basis and the count below read that
-one table.  No CLI command reaches a system's carried elimination or its
-certificate: on every level and flag step e_w <= a, so the one unknown
-freed, at n = a - 2, is the last of its residue class (the next
-identity, n + p - 1 >= a, is past e_w).  The library reaches both with
-other twists (`tests/test_homspace.py`).  For a < p every identity has
-only its s = 0 term, and delta - epsilon = a - 2 makes (1 + tau)^(delta-n)
-== h exactly at n = a - 2.  So the level space is {m : D^n m(1, x)
-vanishes at x = w for each weight w and each n < e_w with n != a - 2}: a
-Birkhoff interpolation problem.
+per multiplicity e a basis of K, the unit jet at n0 or none.  The basis
+and the count below read that one table.  Since c^w_k = D^k m(w) at
+t = 1, every kernel is {m of x-degree <= x_bound : D^k m(1, x) vanishes
+at x = w for each weight w and each k < E_w, except k = n0 where K_w is
+the line}: a Birkhoff interpolation problem.  On every level and flag
+step, n0 = a - 2 (if a - 2 <= x_bound, since delta - epsilon = a - 2)
+and e_w <= a, so the line is free wherever e_w > a - 2.
 
 The count.  `kernel_dim` counts the dimension with no basis.  Put G(x) =
 f(1, x), of degree d, and c = d - 1 - x_bound.  Each m of degree < d is
@@ -79,25 +86,22 @@ weights at once, one packed sum per k (multipoint evaluation).  Of
 goes into each local solution once per level; 1 / T_w comes by
 recurrence on the deg G' - e_w + b + 1 terms of T_w.
 
-The basis.  `_level_rows` reads each multiplicity's annihilator off one
-RREF of its jets by `nullspace_rows` (one unit row per unknown when K is
-{0}; any basis serves, since the level's RREF below is unique) and maps
-it back to the domain at each weight of that multiplicity through the
-Taylor rows: a unit row is a Taylor row itself, and there are at most E
-per weight.  `_level_basis` makes one elimination per level: the packed
-`rref` reduces the stacked rows, whose column j holds c_j, the lowest
-x-power first.  The RREF is unique and has the rows' kernel, so the
-result does not depend on how the rows were derived.  `nullspace_rows`
-of it gives, for each free column f, the vector with 1 at f, 0 at the
-other free columns and its other entries at pivot columns below f: f is
-its highest x-power.  Read in reverse, these vectors are the reduced
-echelon basis in the domain order, with no second elimination.  The
-basis is certified: dim + rank == ncols, every stacked row vanishes on
-every basis vector, and D0 - c <= dim <= D0.  The first two see the
-basis through the stacked rows, so a fourth does not: one combination m
-of the basis, every coefficient nonzero, has its jets evaluated at all
-the weights by `_hasse_values`, and at each weight they must satisfy
-the annihilator of K_w.
+The basis.  `_level_rows` stacks, at each weight, the Taylor rows of its
+constrained orders, k < E_w but for n0 where K_w is the line: at most
+deg_x f rows in all.  `_level_basis` makes one elimination per level:
+the packed `rref` reduces the stacked rows, whose column j holds c_j,
+the lowest x-power first.  The RREF is unique and has the rows' kernel,
+so the result does not depend on how the rows were derived.
+`nullspace_rows` of it gives, for each free column f, the vector with 1
+at f, 0 at the other free columns and its other entries at pivot columns
+below f: f is its highest x-power.  Read in reverse, these vectors are
+the reduced echelon basis in the domain order, with no second
+elimination.  The basis is certified: dim + rank == ncols, every stacked
+row vanishes on every basis vector, and D0 - c <= dim <= D0.  The first
+two see the basis through the stacked rows, so a fourth does not: one
+combination m of the basis, every coefficient nonzero, has its jets
+evaluated at all the weights by `_hasse_values`, and at each weight they
+must vanish at the constrained orders.
 
 `_ma_problem` is the level-a problem at the half-flag divisor, and
 `_check_ma_dim` the proven window of its dimension: the count needs
@@ -106,7 +110,7 @@ only this module, and `homspace` imports both from it.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import accumulate
 from operator import mul
 
@@ -189,12 +193,13 @@ def _check_ma_dim(p: int, dim: int) -> None:
         )
 
 
-def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | None:
-    """The one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
+def _vanishing_identity(problem: HomProblem) -> int | None:
+    """n0, the one n <= x_bound whose diagonal (1 + tau)^(delta-n) - h vanishes, if any.
 
-    (1 + tau)^N has t-degree (p - 1) N, so h, here its `twist`, can equal it for one N only.
+    (1 + tau)^N has t-degree (p - 1) N, so h can equal it for one N only.
     """
     p = problem.p.p
+    twist = {g: c for g, _j, c in problem.h.iterterms()}
     power, rest = divmod(max(twist), p - 1)
     n = problem.delta - power
     if rest or not 0 <= n <= problem.x_bound():
@@ -205,71 +210,19 @@ def _vanishing_identity(problem: HomProblem, twist: dict[int, int]) -> int | Non
 def _local_kernels(problem: HomProblem) -> tuple[Counter, dict[int, list[list[int]]]]:
     """The level's local table (mult, kernels): mult maps each weight w,
     ascending, to e_w, and kernels each multiplicity e to a basis of K, as
-    jets on c^w_0 .. c^w_(E-1), E = min(e, x_bound + 1), solved once per level."""
-    twist = {g: c for g, _j, c in problem.h.iterterms()}
-    vanishing = _vanishing_identity(problem, twist)
+    jets on c^w_0 .. c^w_(E-1), E = min(e, x_bound + 1): the unit jet at n0
+    if the line is free (see the module docstring), else none."""
+    p = problem.p.p
+    n0 = _vanishing_identity(problem)
     mult = Counter(problem.rep.weights)  # ascending w: the weights are sorted
+    length = problem.x_bound() + 1
     kernels = {}
     for e in dict.fromkeys(mult.values()):
-        rhos = range(min(e, problem.p.p - 1))
-        kernels[e] = [jet for rho in rhos for jet in _local_system(problem, e, rho, twist, vanishing)]
+        # identity n0 + s (p - 1) < e cuts the line if C(n0, s) is nonzero mod p
+        free = n0 is not None and n0 < e
+        free = free and not any(binom_mod(n0, s, p) for s in range(1, (e - 1 - n0) // (p - 1) + 1))
+        kernels[e] = [[int(k == n0) for k in range(min(e, length))]] if free else []
     return mult, kernels
-
-
-def _local_system(problem, e, rho, twist, vanishing) -> list[list[int]]:
-    """A basis of the solutions of the identities n = rho, rho + q, ... < e
-    (q = p - 1) on the unknowns c^w_k, k = rho + idx * q < E = min(e, x_bound
-    + 1), tracked through the triangular identities (see the module
-    docstring); each step is certified, dim + rank == its width.  Each
-    solution is returned as its jet of length E.
-    """
-    p = problem.p.p
-    q = p - 1
-    delta = problem.delta
-    length = min(e, problem.x_bound() + 1)
-    size = len(range(rho, length, q))
-    kernel: list[list[int]] = []  # a basis of the solutions on the unknowns so far
-    for idx, n in enumerate(range(rho, e, q)):
-        if not kernel:
-            if idx >= size:
-                break
-            if n == vanishing:
-                kernel = [[0] * idx + [1]]
-            continue
-        # t-exponent -> coefficient, one column per kernel vector, then c^w_n's
-        columns: list[defaultdict[int, int]] = []
-        for vec in kernel:
-            col: defaultdict[int, int] = defaultdict(int)
-            for i, v in enumerate(vec):
-                k, s = rho + i * q, idx - i
-                ck = binom_mod(k, s, p) if v else 0
-                if ck:
-                    for g, c in binomial_terms(delta - k, p):
-                        col[(s + g) * q] += v * ck * c
-            columns.append(col)
-        if idx < size:
-            col = defaultdict(int)
-            for g, c in binomial_terms(delta - n, p):
-                col[g * q] += c
-            for g, c in twist.items():
-                col[g] -= c
-            columns.append(col)
-        width = len(columns)
-        powers = set().union(*columns)
-        matrix = [[col.get(g, 0) for col in columns] for g in powers]
-        reduced = rref(matrix, width, p)
-        kernel = [
-            [sum(map(mul, sol, coords)) % p for coords in zip(*kernel)] + sol[len(kernel) :]
-            for sol in nullspace_rows(reduced, width, p)
-        ]
-        if len(kernel) + len(reduced) != width:
-            raise ConsistencyError(
-                f"local certificate failed: dim {len(kernel)} + rank {len(reduced)} != {width}"
-            )
-    jets = [[0] * length for _ in kernel]
-    for jet, vec in zip(jets, kernel):
-        jet[rho::q] = vec
-    return jets
 
 
 def _hasse_values(coeffs: list[int], weights: list[int], count: int, p: int) -> list[list[int]]:
@@ -379,30 +332,21 @@ def _level_rows(problem: HomProblem) -> tuple[list[list[int]], int, dict[int, in
     """Rows over the domain basis, lowest x-power first (column j holds c_j),
     whose common kernel is the kernel of the level map; D0, the sum of the
     local kernels' dimensions over the weights; the local table's w -> e_w;
-    and e -> the annihilator of K as rows of (k, entry) terms on the c^w_k.
+    and e -> the constrained orders k, those with c^w_k = 0 on K.
 
-    Each annihilator is read off the table once and mapped back through the
-    Taylor shift at each weight of its multiplicity: at most min(e_w,
-    x_bound + 1) rows per weight, so at most deg_x f rows in all.
+    The rows are the Taylor rows of the constrained orders at each weight:
+    at most min(e_w, x_bound + 1) per weight, so at most deg_x f in all.
     """
     p = problem.p.p
     length = problem.x_bound() + 1
     mult, kernels = _local_kernels(problem)
-    local = {}
-    for e, jets in kernels.items():
-        width = min(e, length)
-        annihilator = nullspace_rows(rref(jets, width, p), width, p)
-        local[e] = [[(k, v) for k, v in enumerate(row) if v] for row in annihilator]
+    local = {
+        e: [k for k in range(min(e, length)) if not any(jet[k] for jet in jets)] for e, jets in kernels.items()
+    }
     rows = []
     for w, e in mult.items():
         taylor = _taylor_rows(w, min(e, length), length, p)  # c^w_k in the c_j, k < min(e, length)
-        for terms in local[e]:
-            if len(terms) == 1:  # a unit row, c^w_k = 0
-                rows.append(taylor[terms[0][0]])
-            else:
-                coeffs = [v for _k, v in terms]
-                functionals = [taylor[k] for k, _v in terms]
-                rows.append([sum(map(mul, coeffs, col)) % p for col in zip(*functionals)])
+        rows += [taylor[k] for k in local[e]]
     return rows, sum(len(kernels[e]) for e in mult.values()), mult, local
 
 
@@ -434,6 +378,6 @@ def _level_basis(problem: HomProblem) -> list[list[int]]:
     combination = unpack(packed, ncols, width, p)
     jets = zip(*_hasse_values(combination, list(mult), max(mult.values(), default=0), p))
     for jet, (w, e) in zip(jets, mult.items()):
-        if any(sum(jet[k] * v for k, v in terms) % p for terms in local[e]):
+        if any(jet[k] for k in local[e]):
             raise ConsistencyError(f"kernel certificate failed: the basis leaves K_w at weight {w}")
     return vectors

@@ -26,7 +26,7 @@ without validating them again.  Plain records (`Parameters`,
 `HomSpace`, the reports of `bounds`) take the fields by position or
 keyword, in `__slots__` order; the validated classes (`PrimeModulus`,
 `BiPoly`, `Representation`, `HomProblem`) check their input in their
-own `__init__`, a `BiPoly` int exponents >= 0 and int coefficients.
+own `__init__`, a `BiPoly` int exponent pairs (>= 0) and int coefficients.
 `BiPoly` keeps its own hash and repr: its coefficient dict is unhashable.
 """
 
@@ -54,8 +54,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 318665857834031151167461
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; n >= PRIME_LIMIT raises ValueError."""
+    """Deterministic Miller-Rabin for an int n; n >= PRIME_LIMIT raises ValueError."""
     if n >= PRIME_LIMIT:
         raise ValueError(f"primality is decided only below {PRIME_LIMIT}, got {n}")
     if n < 2:
@@ -79,9 +80,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None, typed=True)
 def _prime(p: int) -> int:
-    """p if it is a prime below PRIME_LIMIT, else ValueError; typed, so 3.0 never hits the entry of 3."""
+    """p if it is an int prime below PRIME_LIMIT, else a ValueError naming p."""
     if not _is_prime(_integer("p", p, 2)):
         raise ValueError(f"p must be a prime, got {p}")
     return p
@@ -155,9 +155,11 @@ def _binom_digit(n: int, k: int, p: int) -> int:
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) mod p by Lucas' theorem; ValueError unless p is prime."""
+    """C(n, k) mod p by Lucas' theorem for ints n, k >= 0 (0 if k > n); ValueError unless p is prime."""
+    _integer("n", n, 0)
+    _integer("k", k, 0)
     _prime(p)
-    if k < 0 or k > n:
+    if k > n:
         return 0
     out = 1
     while k:  # the digits of n above those of k contribute C(n_l, 0) = 1
@@ -177,6 +179,9 @@ class BiPoly(Frozen):
 
     def __init__(self, modulus: PrimeModulus, coeffs: Mapping[tuple[int, int], int] | None = None):
         coeffs = coeffs or {}
+        for key in coeffs:
+            if type(key) is not tuple or len(key) != 2:
+                raise ValueError(f"exponents must be pairs (i, j), got {key!r}")
         if not set(map(type, chain(*coeffs, coeffs.values()))) <= {int}:
             raise ValueError("exponents and coefficients must be integers")
         if min(chain(*coeffs), default=0) < 0:

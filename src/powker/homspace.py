@@ -121,13 +121,13 @@ class FpMatrix:
 def hom_space(problem: HomProblem) -> HomSpace:
     """Compute the kernel of m -> (P(m) - h*m) mod f on the domain basis.
 
-    One `rref` of the stacked local rows, lowest x-power first; the basis
+    One `rref` of the stacked Taylor rows, lowest x-power first; the basis
     is its `nullspace_rows` in reverse order (see the `crt` module docstring).
     The result is certified: the dimension and the rank add up to the
-    number of columns, every row of the local systems, mapped back to the
-    domain, vanishes on every basis vector, D0 - c <= dim <= D0, and one
-    combination of the basis has its Taylor coordinates at each weight,
-    evaluated apart from the mapped rows, in the local kernel.
+    number of columns, every stacked row vanishes on every basis vector,
+    D0 - c <= dim <= D0, and one combination of the basis has its Taylor
+    coordinates at each weight, evaluated apart from the stacked rows, in
+    the local kernel.
     """
     delta = problem.delta  # column j of a vector holds t^(delta - j) x^j's coefficient, in [0, p)
     terms = ({(delta - j, j): v for j, v in enumerate(vec) if v} for vec in _level_basis(problem))

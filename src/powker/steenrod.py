@@ -3,8 +3,8 @@
 Every binomial power the engine needs, (1 + X)^n mod p, comes from
 `binomial_terms`, which reads its nonzero terms off the base-p digits
 of n (Lucas); `one_plus_tau` is (1 + tau)^n for tau = t^(p-1) as a
-`BiPoly`, built on each call.  The local systems compare h with
-(1 + tau)^N term by term from `binomial_terms`, with no `BiPoly`.
+`BiPoly`, built on each call.  `crt._vanishing_identity` compares h
+with (1 + tau)^N term by term from `binomial_terms`, with no `BiPoly`.
 
 The total power operation P is the ring endomorphism determined by
 t -> t + t^p and x -> x + x^p, that is t -> t (1 + tau) and
@@ -27,7 +27,7 @@ so that delta - epsilon = a - 2.
 from __future__ import annotations
 
 from .errors import _integer
-from .ffpoly import BiPoly, Frozen, PrimeModulus, _prime, binom_mod
+from .ffpoly import BiPoly, Frozen, PrimeModulus, _binom_digit, _prime
 
 __all__ = [
     "binomial_terms",
@@ -52,7 +52,7 @@ def binomial_terms(n: int, p: int) -> list[tuple[int, int]]:
     while n:
         n, digit = divmod(n, p)
         if digit:
-            row = [binom_mod(digit, k, p) for k in range(digit + 1)]
+            row = [_binom_digit(digit, k, p) for k in range(digit + 1)]
             terms = [(i + k * place, c * r % p) for i, c in terms for k, r in enumerate(row)]
         place *= p
     return terms

@@ -120,10 +120,15 @@ class TestVerify:
         assert len(problems) == len(set(problems)) == q - 1
 
     def test_level_outside_the_proven_window_exits_1(self, capsys, monkeypatch):
-        # a local solver that loses one solution: the level's basis passes its
-        # own certificates, but its dimension falls below (p + 1) / 2
-        real = crt._local_system
-        monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
+        # a local table that loses every multiplicity's line: the level's basis
+        # passes its own certificates, but its dimension falls below (p + 1) / 2
+        real = crt._local_kernels
+
+        def lineless(problem):
+            mult, kernels = real(problem)
+            return mult, {e: [] for e in kernels}
+
+        monkeypatch.setattr(crt, "_local_kernels", lineless)
         for argv in (["ma", "--p", "5", "--a", "2"], ["verify", "--p", "5", "--suite", "shift"]):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")

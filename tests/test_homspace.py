@@ -165,11 +165,16 @@ class TestGoldenSpaces:
         assert "basis" not in ma_space(P3, 2).to_json(include_basis=False)
 
     def test_each_call_builds_the_level(self, monkeypatch):
-        # a local solver that loses one solution after the level was built
-        # once: the next call rebuilds it and sees the fault
+        # a local table that loses every multiplicity's line after the level
+        # was built once: the next call rebuilds it and sees the fault
         ma_space(P5, 2)
-        real = crt._local_system
-        monkeypatch.setattr(crt, "_local_system", lambda *args: real(*args)[:-1])
+        real = crt._local_kernels
+
+        def lineless(problem):
+            mult, kernels = real(problem)
+            return mult, {e: [] for e in kernels}
+
+        monkeypatch.setattr(crt, "_local_kernels", lineless)
         with pytest.raises(ConsistencyError, match="kernel dimension 0 is below the proven lower bound 3"):
             ma_space(P5, 2)
 
@@ -639,18 +644,6 @@ class TestCount:
         with pytest.raises(ConsistencyError, match="G' order at 2 is not 1"):
             kernel_dim(homspace._ma_problem(P5, 2))
 
-    def test_dropped_local_solution_is_caught(self, monkeypatch):
-        real = crt.nullspace_rows
-
-        def dropping(reduced, ncols, p):
-            return real(reduced, ncols, p)[:-1]
-
-        monkeypatch.setattr(crt, "nullspace_rows", dropping)
-        # x^8 at p = 3: c_3 is freed by identity 3, and identities 5 and 7 keep it
-        prob = HomProblem(P3, Representation(P3, (0,) * 8), 7, _tau_power(P3, 4))
-        with pytest.raises(ConsistencyError, match="local certificate failed"):
-            kernel_dim(prob)
-
     def test_basis_outside_the_crt_bounds_is_caught(self, monkeypatch):
         # with no rows (D0 kept) the whole 7-column domain passes the
         # elimination's own checks, but the level kernel lies in a sum of
@@ -820,28 +813,29 @@ class TestWeightLocalSystems:
         assert list(mult.items()) == sorted(Counter(prob.rep.weights).items())
         assert list(kernels) == list(dict.fromkeys(mult.values()))
         for e, jets in kernels.items():
+            assert len(jets) <= 1  # the line of c^w_n0, or {0}
             for jet in jets:
                 assert len(jet) == min(e, prob.x_bound() + 1)
                 assert len({k % q for k, v in enumerate(jet) if v}) == 1
+                assert sorted(jet) == [0] * (len(jet) - 1) + [1]
 
-    @pytest.mark.parametrize("q,a,calls", [(5, 2, 3), (7, 8, 12)])
-    def test_each_system_is_solved_once(self, monkeypatch, q, a, calls):
-        # the multiplicities are 2 and 1 at (5, 2), with 2 + 1 residue classes,
-        # and 8 and 7 at (7, 8), with 6 + 6: the table, and the count and the
-        # basis that read it, solve each (multiplicity, residue class) once
+    @pytest.mark.parametrize("q,a", [(5, 2), (7, 8)])
+    def test_each_system_is_solved_once(self, monkeypatch, q, a):
+        # the multiplicities are 2 and 1 at (5, 2), and 8 and 7 at (7, 8): the
+        # count and the basis each build the level's local table once
         seen = []
-        real = crt._local_system
+        real = crt._local_kernels
 
-        def counting(problem, e, rho, *rest):
-            seen.append((e, rho))
-            return real(problem, e, rho, *rest)
+        def counting(problem):
+            seen.append(problem)
+            return real(problem)
 
-        monkeypatch.setattr(crt, "_local_system", counting)
+        monkeypatch.setattr(crt, "_local_kernels", counting)
         prob = homspace._ma_problem(PrimeModulus(q), a)
-        for build in (crt._local_kernels, kernel_dim, hom_space):
+        for build in (kernel_dim, hom_space):
             seen.clear()
             build(prob)
-            assert len(seen) == len(set(seen)) == calls, build
+            assert seen == [prob], build
 
     # h = (1 + tau)^(delta - n) makes the diagonal of identity n vanish, so
     # c^w_n is free after it; the identities n + s(p-1) that follow cut it
@@ -855,6 +849,10 @@ class TestWeightLocalSystems:
             (3, 8, 7, 3),  # C(3, 1) = C(3, 2) = 0 mod 3: c_3 stays free to the end
             (3, 10, 9, 3),  # ... and is cut at n = 9 by C(3, 3) = 1
             (3, 9, 9, 0),  # C(0, s) = 0: c_0 stays free
+            (5, 25, 24, 5),  # C(5, s) = 0 mod 5 for s = 1..4: c_5 survives four identities
+            (5, 26, 25, 5),  # ... and is cut at n = 25 by C(5, 5) = 1
+            (3, 27, 26, 9),  # n0 = 100 in base 3: free through s = 8
+            (3, 28, 27, 9),  # ... and cut at s = 9 by C(9, 9) = 1
         ],
     )
     def test_carried_kernel(self, q, e, delta, n):

@@ -8,7 +8,8 @@ keyword, refuses a missing, extra or unknown one, and is not equal to
 the tuple of its fields.
 
 Every public integer argument refuses a bool, a float, a string and a
-value out of its range with a ValueError that names the argument.
+value out of its range with a ValueError that names the argument, and a
+`BiPoly` key that is not a pair of exponents is refused by name too.
 """
 
 import pickle
@@ -178,9 +179,11 @@ ZERO = BiPoly.zero(P5)
 # an in-range integer, and every value below is refused before any work starts
 INTEGER_ARGUMENTS = {
     "PrimeModulus": ("p", PrimeModulus, (1, 2, 4)),
-    "binom_mod": ("p", lambda v: binom_mod(5, 2, v), (1, 4, 9)),  # p = 1 looped forever
+    "binom_mod": ("p", lambda v: binom_mod(5, 2, v), (1, 4, 9, [3])),  # p = 1 looped forever
+    "binom_mod.n": ("n", lambda v: binom_mod(v, 2, 5), (-1,)),
+    "binom_mod.k": ("k", lambda v: binom_mod(5, v, 5), (-1,)),  # k = -1 returned 0
     "binomial_terms.n": ("n", lambda v: binomial_terms(v, 5), (-1,)),  # n = -1 looped forever
-    "binomial_terms.p": ("p", lambda v: binomial_terms(3, v), (1, 4)),
+    "binomial_terms.p": ("p", lambda v: binomial_terms(3, v), (1, 4, [3])),  # [3] met the cache unchecked
     "BiPoly.t_exponent": ("exponent", lambda v: BiPoly(P5, {(v, 0): 1}), (-1,)),
     "BiPoly.x_exponent": ("exponent", lambda v: BiPoly(P5, {(1, 1): 1, (0, v): 1}), (-1,)),
     "BiPoly.coefficient": ("coefficient", lambda v: BiPoly(P5, {(0, 0): 1, (1, 0): v}), ()),
@@ -209,3 +212,9 @@ def test_integer_arguments_are_checked(entry, value):
     name, call, _out = INTEGER_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=rf"\b{re.escape(name)}s?\b.*must be"):
         call(value)
+
+
+@pytest.mark.parametrize("key", [(1, 0, 2), (1,), 1], ids=repr)
+def test_bipoly_keys_are_exponent_pairs(key):
+    with pytest.raises(ValueError, match=rf"^exponents must be pairs \(i, j\), got {re.escape(repr(key))}$"):
+        BiPoly(P5, {key: 1})
